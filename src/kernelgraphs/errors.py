@@ -41,6 +41,22 @@ class BudgetExceededError(KernelGraphsError, RuntimeError):
         super().__init__(msg)
 
 
+class _Budget:
+    """Node counter for one backtracking search; raises once past ``limit``."""
+
+    __slots__ = ("limit", "used", "what")
+
+    def __init__(self, limit: int | None, what: str):
+        self.limit = limit
+        self.used = 0
+        self.what = what
+
+    def tick(self):
+        self.used += 1
+        if self.limit is not None and self.used > self.limit:
+            raise BudgetExceededError("search nodes", self.limit, self.what)
+
+
 class ClosureCapExceededError(BudgetExceededError):
     """Semigroup closure grew past the element cap; partial data is unreliable."""
 

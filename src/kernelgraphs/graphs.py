@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParseError, UnsupportedParameterError
+from .errors import ParseError, UnsupportedParameterError, _Budget
 
 __all__ = [
     "Graph",
@@ -421,7 +421,7 @@ def k_color(
                 if color[u] == c:
                     return None
                 forbidden[u] |= 1 << c
-    nodes = [0]
+    budget = _Budget(node_budget, "coloring search")
 
     def choose() -> int:
         bestv, key = -1, (-1, -1)
@@ -453,9 +453,7 @@ def k_color(
     def search(remaining: int, used: int) -> bool:
         if remaining == 0:
             return True
-        nodes[0] += 1
-        if node_budget is not None and nodes[0] > node_budget:
-            raise BudgetExceededError("search nodes", node_budget, "coloring search")
+        budget.tick()
         v = choose()
         limit_c = min(k, used + 1)
         options = ~forbidden[v] & ((1 << limit_c) - 1)
@@ -746,16 +744,14 @@ def _iso_map(g: Graph, h: Graph, *, find_all: bool = False, node_budget: int | N
     mapping = [-1] * n
     used = 0
     found: list[list[int]] = []
-    nodes = [0]
+    budget = _Budget(node_budget, "isomorphism search")
 
     def search(depth: int) -> bool:
         nonlocal used
         if depth == n:
             found.append(mapping.copy())
             return not find_all
-        nodes[0] += 1
-        if node_budget is not None and nodes[0] > node_budget:
-            raise BudgetExceededError("search nodes", node_budget, "isomorphism search")
+        budget.tick()
         v = order[depth]
         # images of v's already-placed neighbors; candidate w must hit exactly these
         required = 0

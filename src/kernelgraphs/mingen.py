@@ -16,6 +16,7 @@ from .errors import (
     KernelGraphsError,
     NotAHullError,
     UnsupportedParameterError,
+    _Budget,
 )
 from .graphs import (
     Graph,
@@ -28,7 +29,7 @@ from .graphs import (
     union_complete,
 )
 from .kernelgraph import kernel_graph
-from .semigroup import exists_homomorphism, homomorphisms_iter
+from .semigroup import _quotient, exists_homomorphism, homomorphisms_iter
 from .transform import Partition, Transformation
 
 
@@ -64,21 +65,13 @@ def _check_regenerates(g: Graph, maps) -> None:
         raise KernelGraphsError("generating set does not reproduce the target graph")
 
 
-def _partition_map(part: Partition) -> Transformation:
-    images = [0] * part.n
-    for block in part.blocks:
-        for v in block:
-            images[v] = block[0]
-    return Transformation(images)
-
-
-def _block_min_map(n: int, blocks) -> Transformation:
-    images = [0] * n
-    for b in blocks:
-        vs = list(_bits(b))
-        for v in vs:
-            images[v] = vs[0]
-    return Transformation(images)
+def _block_of(n: int, blocks) -> list[int]:
+    """Index of the block holding each vertex, for blocks given as masks."""
+    block_of = [0] * n
+    for i, b in enumerate(blocks):
+        for v in _bits(b):
+            block_of[v] = i
+    return block_of
 
 
 # ----------------------------------------------------------- exhaustive search
@@ -140,7 +133,7 @@ def _dominance_filter(cands):
     return kept
 
 
-def _min_cover(masks: list[int], m: int) -> list[int]:
+def _min_cover(masks: list[int], m: int, *, node_budget: int | None = None) -> list[int]:
     """Indices of a minimum subfamily of masks covering all m bits."""
     full = (1 << m) - 1
     covered = 0
@@ -153,6 +146,7 @@ def _min_cover(masks: list[int], m: int) -> list[int]:
     maxpop = max(mk.bit_count() for mk in masks)
     best = greedy
     chosen: list[int] = []
+    budget = _Budget(node_budget, "cover search")
 
     def search(covered: int) -> None:
         nonlocal best
@@ -160,6 +154,7 @@ def _min_cover(masks: list[int], m: int) -> list[int]:
             if len(chosen) < len(best):
                 best = chosen.copy()
             return
+        budget.tick()
         need = (full & ~covered).bit_count()
         if len(chosen) + -(-need // maxpop) >= len(best):
             return
@@ -201,7 +196,7 @@ def minimal_generating_set(
     if within_endomorphisms:
         cands = []
         for blocks in _admissible_partitions(g):
-            quotient, _ = _quotient(g, blocks)
+            quotient = _quotient(g, _block_of(g.n, blocks), len(blocks))
             if exists_homomorphism(quotient, g, node_budget=node_budget):
                 cands.append((blocks, _coverage_mask(blocks, pair_index)))
         cands = _dominance_filter(cands)
@@ -222,32 +217,25 @@ def minimal_generating_set(
             ]
         )
         method = "exhaustive"
-    chosen = _min_cover([mask for _, mask in cands], m)
+    chosen = _min_cover([mask for _, mask in cands], m, node_budget=node_budget)
     if within_endomorphisms:
-        maps = tuple(_endomorphism_with_kernel(g, cands[i][0]) for i in chosen)
+        maps = tuple(
+            _endomorphism_with_kernel(g, cands[i][0], node_budget=node_budget) for i in chosen
+        )
     else:
-        maps = tuple(_block_min_map(g.n, cands[i][0]) for i in chosen)
+        maps = tuple(
+            Partition([list(_bits(b)) for b in cands[i][0]]).as_transformation() for i in chosen
+        )
     _check_regenerates(g, maps)
     return GeneratingSet(maps, True, len(chosen), method)
 
 
-def _quotient(g: Graph, blocks) -> tuple[Graph, list[int]]:
-    block_of = [0] * g.n
-    for i, b in enumerate(blocks):
-        for v in _bits(b):
-            block_of[v] = i
-    edges = set()
-    for u in range(g.n):
-        for v in _bits(g.adj[u]):
-            if v > u and block_of[u] != block_of[v]:
-                a, b = sorted((block_of[u], block_of[v]))
-                edges.add((a, b))
-    return Graph(len(blocks), sorted(edges)), block_of
-
-
-def _endomorphism_with_kernel(g: Graph, blocks) -> Transformation:
-    quotient, block_of = _quotient(g, blocks)
-    images = next(homomorphisms_iter(quotient, g))
+def _endomorphism_with_kernel(
+    g: Graph, blocks, *, node_budget: int | None = None
+) -> Transformation:
+    block_of = _block_of(g.n, blocks)
+    quotient = _quotient(g, block_of, len(blocks))
+    images = next(homomorphisms_iter(quotient, g, node_budget=node_budget))
     return Transformation([images[block_of[v]] for v in range(g.n)])
 
 
@@ -309,7 +297,7 @@ def _matching_refuted(copies: int, k: int, *, node_budget: int | None = None) ->
     cached = _REFUTATION_CACHE.get((copies, k))
     if cached is not None:
         return cached
-    nodes = 0
+    budget = _Budget(node_budget, "matching refutation")
 
     def options(top: int) -> list[tuple[int, int]]:
         out = [(a, b) for a in range(top) for b in range(top) if a != b]
@@ -319,16 +307,12 @@ def _matching_refuted(copies: int, k: int, *, node_budget: int | None = None) ->
         return out
 
     def extend(assigned: list, maxlabs: list[int]) -> bool:
-        nonlocal nodes
         if len(assigned) == copies:
             return True
         second = len(assigned) == 1
 
         def place(m: int, tup: tuple, missing: list[int]) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise BudgetExceededError("search nodes", node_budget, "matching refutation")
+            budget.tick()
             if m == k:
                 if any(missing):
                     return False
@@ -438,11 +422,7 @@ def _field_shift_maps(copies: int, clique: int, q: int) -> tuple[Transformation,
             for s in range(clique):
                 label = field.add(s, field.mul(c, i))
                 classes.setdefault(label, []).append(i * clique + s)
-        images = [0] * (copies * clique)
-        for members in classes.values():
-            for v in members:
-                images[v] = members[0]
-        maps.append(Transformation(images))
+        maps.append(Partition(classes.values()).as_transformation())
     return tuple(maps)
 
 
@@ -456,11 +436,7 @@ def _single_bump_maps(copies: int) -> tuple[Transformation, ...]:
             for s in range(3):
                 label = (s + (1 if i == c else 0)) % 3
                 classes.setdefault(label, []).append(3 * i + s)
-        images = [0] * (3 * copies)
-        for members in classes.values():
-            for v in members:
-                images[v] = members[0]
-        maps.append(Transformation(images))
+        maps.append(Partition(classes.values()).as_transformation())
     return tuple(maps)
 
 
@@ -484,7 +460,7 @@ def lattice_generators(n: int) -> GeneratingSet:
     lb = n - 1
     if _prime_power(n) is not None:
         maps = tuple(
-            _partition_map(sq.symbol_partition()) for sq in mols_complete(n)
+            sq.symbol_partition().as_transformation() for sq in mols_complete(n)
         )
         _check_regenerates(g, maps)
         return GeneratingSet(maps, True, lb, "orthogonal-squares")

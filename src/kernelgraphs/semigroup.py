@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import BudgetExceededError, ClosureCapExceededError
+from .errors import BudgetExceededError, ClosureCapExceededError, _Budget
 from .graphs import Graph, _bits
 from .transform import Partition, Transformation
 
@@ -248,76 +248,53 @@ def _bfs_order(g: Graph, component) -> list[int]:
 
 
 def _earlier_neighbors(g: Graph, order) -> list[list[int]]:
-    # positions (into order) of each vertex's neighbors that come earlier
+    # each vertex's neighbors that come earlier in order
     pos = {v: i for i, v in enumerate(order)}
     result = []
     for i, v in enumerate(order):
-        result.append([pos[u] for u in _bits(g.adj[v]) if pos[u] < i])
+        result.append([u for u in _bits(g.adj[v]) if pos[u] < i])
     return result
 
 
-class _Budget:
-    __slots__ = ("limit", "used", "what")
+def _maps(g: Graph, h: Graph, order, budget: _Budget):
+    """Every homomorphism from the vertices in ``order`` into h.
 
-    def __init__(self, limit: int | None, what: str):
-        self.limit = limit
-        self.used = 0
-        self.what = what
-
-    def tick(self):
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise BudgetExceededError("search nodes", self.limit, self.what)
-
-
-def _count_maps(g: Graph, h: Graph, order, budget: _Budget) -> int:
+    Assigns vertices in order, lowest candidate first, ticking the budget
+    once per inner search node. Yields one shared list indexed by g's
+    vertices, overwritten as the search goes on; vertices outside ``order``
+    keep image 0.
+    """
+    images = [0] * g.n
+    depth = len(order)
+    if depth == 0:
+        yield images
+        return
     earlier = _earlier_neighbors(g, order)
     hadj = h.adj
     full = (1 << h.n) - 1
-    depth = len(order)
-    assignment = [0] * depth
-
-    def rec(i: int) -> int:
-        if i == depth:
-            return 1
+    stack = [0] * depth  # candidates not yet tried at each level
+    budget.tick()
+    stack[0] = full
+    i = 0
+    while i >= 0:
+        cand = stack[i]
+        if not cand:
+            i -= 1
+            continue
+        low = cand & -cand
+        stack[i] = cand ^ low
+        images[order[i]] = low.bit_length() - 1
+        if i + 1 == depth:
+            yield images
+            continue
+        i += 1
         budget.tick()
         cand = full
-        for j in earlier[i]:
-            cand &= hadj[assignment[j]]
+        for u in earlier[i]:
+            cand &= hadj[images[u]]
             if not cand:
-                return 0
-        total = 0
-        for w in _bits(cand):
-            assignment[i] = w
-            total += rec(i + 1)
-        return total
-
-    return rec(0)
-
-
-def _exists_map(g: Graph, h: Graph, order, budget: _Budget) -> bool:
-    earlier = _earlier_neighbors(g, order)
-    hadj = h.adj
-    full = (1 << h.n) - 1
-    depth = len(order)
-    assignment = [0] * depth
-
-    def rec(i: int) -> bool:
-        if i == depth:
-            return True
-        budget.tick()
-        cand = full
-        for j in earlier[i]:
-            cand &= hadj[assignment[j]]
-            if not cand:
-                return False
-        for w in _bits(cand):
-            assignment[i] = w
-            if rec(i + 1):
-                return True
-        return False
-
-    return rec(0)
+                break
+        stack[i] = cand
 
 
 def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -> int:
@@ -331,7 +308,7 @@ def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -
     budget = _Budget(node_budget, "homomorphism count")
     total = 1
     for comp in g.components():
-        total *= _count_maps(g, h, _bfs_order(g, comp), budget)
+        total *= sum(1 for _ in _maps(g, h, _bfs_order(g, comp), budget))
         if total == 0:
             return 0
     return total
@@ -339,39 +316,20 @@ def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -
 
 def exists_homomorphism(g: Graph, h: Graph, *, node_budget: int | None = None) -> bool:
     budget = _Budget(node_budget, "homomorphism search")
-    return all(_exists_map(g, h, _bfs_order(g, comp), budget) for comp in g.components())
+    return all(
+        next(_maps(g, h, _bfs_order(g, comp), budget), None) is not None
+        for comp in g.components()
+    )
 
 
 def homomorphisms_iter(g: Graph, h: Graph, *, node_budget: int | None = None):
     """Yield every homomorphism g -> h as an image tuple over g's vertices."""
-    if g.n == 0:
-        yield ()
-        return
     order: list[int] = []
     for comp in g.components():
         order.extend(_bfs_order(g, comp))
-    earlier = _earlier_neighbors(g, order)
-    hadj = h.adj
-    full = (1 << h.n) - 1
     budget = _Budget(node_budget, "homomorphism enumeration")
-    images = [0] * g.n
-
-    def rec(i: int):
-        if i == g.n:
-            yield tuple(images)
-            return
-        budget.tick()
-        cand = full
-        for j in earlier[i]:
-            cand &= hadj[images[order[j]]]
-            if not cand:
-                return
-        v = order[i]
-        for w in _bits(cand):
-            images[v] = w
-            yield from rec(i + 1)
-
-    yield from rec(0)
+    for images in _maps(g, h, order, budget):
+        yield tuple(images)
 
 
 def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
@@ -381,6 +339,18 @@ def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
 def endomorphisms_iter(g: Graph, *, node_budget: int | None = None):
     for images in homomorphisms_iter(g, g, node_budget=node_budget):
         yield Transformation(images)
+
+
+def _quotient(g: Graph, block_of, k: int) -> Graph:
+    """The graph on blocks 0..k-1 joining blocks that hold adjacent vertices.
+
+    ``block_of[v]`` is the block of vertex v; blocks must be independent in g.
+    """
+    adj = [0] * k
+    for v in range(g.n):
+        for u in _bits(g.adj[v]):
+            adj[block_of[v]] |= 1 << block_of[u]
+    return Graph.from_adj(adj)
 
 
 def quotient_by_pair(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
@@ -399,12 +369,7 @@ def quotient_by_pair(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
             mapping.append(w - 1)
         else:
             mapping.append(w)
-    edges = []
-    for a, b in g.edges():
-        ma, mb = mapping[a], mapping[b]
-        if ma != mb:
-            edges.append((ma, mb))
-    return Graph(g.n - 1, edges), tuple(mapping)
+    return _quotient(g, mapping, g.n - 1), tuple(mapping)
 
 
 def collapsible(g: Graph, u: int, v: int, *, node_budget: int | None = None) -> bool:

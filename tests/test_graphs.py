@@ -240,6 +240,14 @@ def test_k_color_precolor_and_budget():
         k_color(cycle(5), 3, node_budget=0)
 
 
+def test_automorphism_budget_is_exact():
+    # node count recorded before the search counters were shared
+    g = cartesian_product(cycle(5), path(3))
+    with pytest.raises(BudgetExceededError):
+        automorphisms(g, node_budget=225)
+    assert len(automorphisms(g, node_budget=226)) == 20
+
+
 # ------------------------------------------------------- canonical forms / iso
 
 

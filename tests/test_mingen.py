@@ -3,7 +3,9 @@ from collections import Counter
 
 import pytest
 
+from kernelgraphs import mingen
 from kernelgraphs.errors import (
+    BudgetExceededError,
     KernelGraphsError,
     NotAHullError,
     UnsupportedParameterError,
@@ -15,6 +17,7 @@ from kernelgraphs.graphs import (
     complete,
     complete_multipartite,
     cycle,
+    from_graph6,
     generate_all,
     hamming,
     path,
@@ -226,6 +229,28 @@ def test_matching_minimum_matches_exhaustive():
     for copies in [2, 3, 4]:
         g = union_complete([2] * copies)
         assert matching_minimum_size(copies) == minimal_generating_set(g).size
+
+
+def test_matching_budget_is_exact(monkeypatch):
+    # node count recorded before the search counters were shared; a cached
+    # refutation would skip the search
+    monkeypatch.setattr(mingen, "_REFUTATION_CACHE", {})
+    with pytest.raises(BudgetExceededError):
+        matching_minimum_size(5, node_budget=20720)
+    assert matching_minimum_size(5, node_budget=20721) == 4
+
+
+def test_node_budget_caps_cover_search():
+    # every other search here needs far fewer nodes than the set cover
+    c7 = cycle(7)
+    with pytest.raises(BudgetExceededError):
+        minimal_generating_set(c7, node_budget=252)
+    assert minimal_generating_set(c7, node_budget=253).size == 4
+    hull7 = from_graph6("F?CWw")
+    with pytest.raises(BudgetExceededError):
+        minimal_generating_set(hull7, within_endomorphisms=True, node_budget=100)
+    endo = minimal_generating_set(hull7, within_endomorphisms=True, node_budget=1233)
+    assert endo.size == minimal_generating_set(hull7, within_endomorphisms=True).size
 
 
 def test_matching_refutation_engine():

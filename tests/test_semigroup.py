@@ -6,6 +6,7 @@ import pytest
 from kernelgraphs.errors import BudgetExceededError, ClosureCapExceededError
 from kernelgraphs.graphs import (
     Graph,
+    cartesian_product,
     complete,
     cycle,
     disjoint_union,
@@ -13,7 +14,9 @@ from kernelgraphs.graphs import (
     path,
     union_complete,
 )
+from kernelgraphs.mingen import _block_of
 from kernelgraphs.semigroup import (
+    _quotient,
     close,
     collapsible,
     collapsible_pairs,
@@ -221,6 +224,54 @@ def test_endomorphisms_are_transformations():
 def test_homomorphism_budget():
     with pytest.raises(BudgetExceededError):
         count_endomorphisms(cycle(8), node_budget=3)
+
+
+C8 = cycle(8)
+C5P3 = cartesian_product(cycle(5), path(3))
+C8_MERGED = quotient_by_pair(C8, 0, 2)[0]
+
+
+# (search, exact node count it needs, result); counts recorded before the
+# searches were merged into one engine, so a changed tick schedule shows here
+@pytest.mark.parametrize(
+    "search, nodes, result",
+    [
+        (lambda b: count_endomorphisms(C8, node_budget=b), 1017, 576),
+        (lambda b: count_endomorphisms(C5P3, node_budget=b), 275396, 340),
+        (lambda b: count_endomorphisms(C8_MERGED, node_budget=b), 536, 398),
+        (lambda b: exists_homomorphism(C8, complete(3), node_budget=b), 8, True),
+        (lambda b: exists_homomorphism(C5P3, C8, node_budget=b), 3129, False),
+        (lambda b: exists_homomorphism(C8_MERGED, C8, node_budget=b), 7, True),
+        (lambda b: len(list(homomorphisms_iter(C8, complete(3), node_budget=b))), 382, 258),
+        (lambda b: len(list(homomorphisms_iter(C5P3, complete(3), node_budget=b))), 4564, 1080),
+        (lambda b: len(list(homomorphisms_iter(C8_MERGED, C8, node_budget=b))), 505, 320),
+        (lambda b: len(list(endomorphisms_iter(C8, node_budget=b))), 1017, 576),
+        (lambda b: len(list(endomorphisms_iter(C8_MERGED, node_budget=b))), 536, 398),
+    ],
+    ids=[
+        "count-C8", "count-C5P3", "count-quotient",
+        "exists-C8-K3", "exists-C5P3-C8", "exists-quotient-C8",
+        "iter-C8-K3", "iter-C5P3-K3", "iter-quotient-C8",
+        "endo-iter-C8", "endo-iter-quotient",
+    ],
+)
+def test_homomorphism_budget_is_exact(search, nodes, result):
+    with pytest.raises(BudgetExceededError):
+        search(nodes - 1)
+    assert search(nodes) == result
+
+
+def test_block_quotient_matches_quotient_by_pair():
+    for g in (C8, C5P3):
+        for u, v in itertools.combinations(range(g.n), 2):
+            if g.has_edge(u, v):
+                continue
+            blocks = tuple(1 << w | (1 << v if w == u else 0) for w in range(g.n) if w != v)
+            block_of = _block_of(g.n, blocks)
+            quotient = _quotient(g, block_of, len(blocks))
+            assert (quotient, tuple(block_of)) == quotient_by_pair(g, u, v)
+            merged = {tuple(sorted((block_of[a], block_of[b]))) for a, b in g.edges()}
+            assert set(quotient.edges()) == merged
 
 
 def test_quotient_by_pair():
