@@ -229,13 +229,13 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
-def test_budget_exit_codes(capsys):
+def test_budget_exit_codes(tmp_path, capsys):
     big = to_graph6(square_lattice(3))
     code, _, err = run(capsys, "--node-budget", "5", "end-count", big)
     assert code == 2
     assert "budget" in err
 
-    code, _, err = run(capsys, "--time-limit", "0.05", "census", "6", "--out", "/tmp/tl")
+    code, _, err = run(capsys, "--time-limit", "0.05", "census", "6", "--out", str(tmp_path))
     assert code == 2
     assert "time" in err
 
