@@ -2,11 +2,13 @@
 # A short command-line session touching each subcommand.
 set -e
 
-printf '[3,3,4,3]\n[3,3,2,4]\n' > /tmp/maps.txt
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+printf '[3,3,4,3]\n[3,3,2,4]\n' > "$work/maps.txt"
 
 echo '# kernel graph of a transformation set, then of its closure'
-kernelgraphs kernel-graph /tmp/maps.txt
-kernelgraphs kernel-graph /tmp/maps.txt --closed
+kernelgraphs kernel-graph "$work/maps.txt"
+kernelgraphs kernel-graph "$work/maps.txt" --closed
 
 echo '# hulls'
 kernelgraphs hull 'DqK'          # P5
@@ -22,10 +24,10 @@ kernelgraphs mingen 'C]'         # K(2,2)
 kernelgraphs mingen 'C]' --endomorphisms
 
 echo '# synchronization'
-kernelgraphs sync-check /tmp/maps.txt --closure
+kernelgraphs sync-check "$work/maps.txt" --closure
 
 echo '# census with a sampling experiment'
-kernelgraphs census 4 --out /tmp/census-demo --sync-trials 200 --seed 7
+kernelgraphs census 4 --out "$work/census" --sync-trials 200 --seed 7
 
 echo '# hull preimages'
 kernelgraphs preimages 'C~'      # K4
@@ -33,4 +35,3 @@ kernelgraphs preimages 'C~'      # K4
 echo '# designs'
 kernelgraphs designs mols 5
 kernelgraphs designs oa 4
-rm -f /tmp/maps.txt

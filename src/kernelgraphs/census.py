@@ -9,6 +9,7 @@ is reported as warnings on the summary, never as a failure.
 
 import csv
 import json
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from .mingen import minimal_generating_set
 from .semigroup import is_synchronizing
 from .transform import Transformation
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _CENSUS_LIMIT = 8
 
 # Size conventions used by the published tables: generating sets are drawn
@@ -131,28 +132,34 @@ def _jsonl_path(out_dir: Path, n: int) -> Path:
     return out_dir / f"hulls_n{n}.jsonl"
 
 
-def _read_rows(path: Path, n: int) -> dict[str, dict]:
+def _read_rows(path: Path, n: int) -> tuple[dict[str, dict], int]:
+    """Rows of a census file, and the byte length of its complete lines.
+
+    An unterminated final line is a row torn by an interrupted write: it is
+    left out, and run_census cuts it off before appending.
+    """
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
     rows: dict[str, dict] = {}
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if lineno == 1:
-                if record.get("schema_version") != SCHEMA_VERSION:
-                    raise ValueError(
-                        f"{path}: schema_version {record.get('schema_version')!r}, "
-                        f"expected {SCHEMA_VERSION}"
-                    )
-                if record.get("n") != n:
-                    raise ValueError(f"{path}: census file is for n={record.get('n')}, not n={n}")
-                continue
-            rows.setdefault(record["graph6"], record)
-    return rows
+    for lineno, line in enumerate(data[:end].decode().splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        if lineno == 1:
+            if record.get("n") != n:
+                raise ValueError(f"{path}: census file is for n={record.get('n')}, not n={n}")
+            if record.get("schema_version") != SCHEMA_VERSION:
+                raise ValueError(
+                    f"{path}: schema_version {record.get('schema_version')!r}, "
+                    f"expected {SCHEMA_VERSION}"
+                )
+            continue
+        rows.setdefault(record["graph6"], record)
+    return rows, end
 
 
 def _compute_rows(batch: list[str], workers: int):
@@ -199,9 +206,12 @@ def run_census(n: int, out_dir, *, workers: int = 1, resume: bool = True) -> Cen
     path = _jsonl_path(out, n)
 
     done: dict[str, dict] = {}
+    end = 0
     if resume and path.exists():
-        done = _read_rows(path, n)
-    else:
+        done, end = _read_rows(path, n)
+    if end:
+        os.truncate(path, end)
+    else:  # nothing complete to resume from: start the file over
         header = {"schema_version": SCHEMA_VERSION, "n": n}
         path.write_text(json.dumps(header, sort_keys=True) + "\n")
 

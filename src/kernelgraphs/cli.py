@@ -94,7 +94,7 @@ def _cmd_end_count(args) -> int:
 
 def _cmd_aut(args) -> int:
     g = from_graph6(args.graph.strip())
-    group = automorphism_group(g)
+    group = automorphism_group(g, node_budget=args.node_budget)
     name = group_name(group)
     payload = {
         "name": name,
@@ -263,7 +263,7 @@ def _common_options(*, for_subcommand: bool) -> argparse.ArgumentParser:
         "--node-budget",
         type=int,
         default=default(None),
-        help="search node cap for homomorphism and cover searches",
+        help="search node cap for homomorphism, cover and automorphism searches",
     )
     g.add_argument(
         "--time-limit",

@@ -9,10 +9,7 @@ The graph6 text format is the interchange format throughout the package.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ParseError, UnsupportedParameterError, _Budget
 
@@ -568,17 +565,14 @@ def from_graph6(text: str, *, line: int | None = None) -> Graph:
 
 # ------------------------------------------------- canonical form & isomorphism
 
-_BRUTE_CAP = 50000
-
-
-def _wl_colors(adj, n: int, colors: list[int]) -> list[int]:
+def _wl_colors(neighbors, colors: list[int]) -> list[int]:
     """Signature-sorted equitable refinement from the given coloring."""
     count = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            neigh = sorted(colors[u] for u in _bits(adj[v]))
-            sigs.append((colors[v], tuple(neigh)))
+        sigs = [
+            (colors[v], tuple(sorted([colors[u] for u in nv])))
+            for v, nv in enumerate(neighbors)
+        ]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [ranking[s] for s in sigs]
         new_count = len(ranking)
@@ -587,76 +581,91 @@ def _wl_colors(adj, n: int, colors: list[int]) -> list[int]:
         count = new_count
 
 
-def _cells_of(colors: list[int]) -> list[list[int]]:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return [cells[c] for c in sorted(cells)]
+def _orbit(points, generators) -> int:
+    """Bitset of the orbit of ``points`` under the group the generators span."""
+    orbit = 0
+    frontier = list(points)
+    while frontier:
+        p = frontier.pop()
+        if orbit >> p & 1:
+            continue
+        orbit |= 1 << p
+        frontier.extend(gen[p] for gen in generators)
+    return orbit
 
 
-def _pair_bits_key(adjmat_rows, row) -> tuple:
-    n = len(row)
-    key = []
-    for i in range(n):
-        ri = adjmat_rows[row[i]]
-        key.extend(ri >> row[j] & 1 for j in range(i + 1, n))
-    return tuple(key)
+def _ir_search(g: Graph, budget: _Budget):
+    """Individualization-refinement search (McKay & Piperno, 2014).
+
+    Returns ``(labelling, generators)``: the labelling old->new of the leaf
+    with the largest certificate, and automorphisms (old->new) that generate
+    Aut(G).  Each node refines its coloring and branches on every vertex of
+    its first smallest non-singleton cell, except those in the orbit of an
+    explored sibling under the automorphisms found so far that fix the
+    node's path.  A leaf whose certificate equals the first or the best
+    leaf's gives an automorphism; the search then resumes at the deepest
+    node the two leaves share, whose branch into the new leaf is the image
+    of an explored one.  ``budget`` ticks once per node.
+    """
+    n = g.n
+    neighbors = [tuple(_bits(a)) for a in g.adj]
+    generators: list[tuple[int, ...]] = []
+    first = best = None  # (certificate, labelling, path) of a leaf
+
+    def visit(colors: list[int], path: list[int]) -> int:
+        # returns the depth at which the search resumes
+        nonlocal first, best
+        budget.tick()
+        colors = _wl_colors(neighbors, colors)
+        depth = len(path)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        if len(cells) == n:
+            rows = [0] * n  # the adjacency rows relabeled by the leaf
+            for v, nv in enumerate(neighbors):
+                row = 0
+                for u in nv:
+                    row |= 1 << colors[u]
+                rows[colors[v]] = row
+            leaf = (tuple(rows), colors, path)
+            if first is None:
+                first = best = leaf
+                return depth
+            for ref in (first, best):
+                if leaf[0] == ref[0]:
+                    position = [0] * n
+                    for v, c in enumerate(colors):
+                        position[c] = v
+                    generators.append(tuple(position[c] for c in ref[1]))
+                    shared = 0
+                    while path[shared] == ref[2][shared]:
+                        shared += 1
+                    return shared
+            if leaf[0] > best[0]:
+                best = leaf
+            return depth
+        target = min((cells[c] for c in sorted(cells) if len(cells[c]) > 1), key=len)
+        explored: list[int] = []
+        pruned = 0
+        for v in target:
+            if pruned >> v & 1:
+                continue
+            branched = [c * 2 for c in colors]
+            branched[v] -= 1
+            resume = visit(branched, path + [v])
+            if resume < depth:
+                return resume
+            explored.append(v)
+            fixing = [gen for gen in generators if all(gen[p] == p for p in path)]
+            pruned = _orbit(explored, fixing)
+        return depth
+
+    visit([0] * n, [])
+    return tuple(best[1]), generators
 
 
-def _best_rows_python(adj, cells) -> tuple[tuple, tuple[int, ...]]:
-    best_key = None
-    best_row = None
-    for perm_parts in itertools.product(*(itertools.permutations(c) for c in cells)):
-        row = tuple(itertools.chain.from_iterable(perm_parts))
-        key = _pair_bits_key(adj, row)
-        if best_key is None or key > best_key:
-            best_key, best_row = key, row
-    return best_key, best_row
-
-
-def _best_rows_numpy(adj, n, cells) -> tuple[tuple, tuple[int, ...]]:
-    rows = [
-        tuple(itertools.chain.from_iterable(p))
-        for p in itertools.product(*(itertools.permutations(c) for c in cells))
-    ]
-    arr = np.array(rows, dtype=np.int16)
-    mat = np.zeros((n, n), dtype=bool)
-    for v in range(n):
-        for u in _bits(adj[v]):
-            mat[v, u] = True
-    rel = mat[arr[:, :, None], arr[:, None, :]]
-    iu = np.triu_indices(n, 1)
-    bits = rel[:, iu[0], iu[1]]
-    idx = int(np.lexsort(bits.T[::-1].astype(np.uint8))[-1])
-    return tuple(int(b) for b in bits[idx]), rows[idx]
-
-
-def _canonical_core(adj, n: int, colors: list[int]):
-    """Best (bits, row) over labelings consistent with iterated refinement."""
-    colors = _wl_colors(adj, n, colors)
-    cells = _cells_of(colors)
-    product = 1
-    for c in cells:
-        product *= math.factorial(len(c))
-        if product > _BRUTE_CAP:
-            break
-    if product <= _BRUTE_CAP:
-        if product <= 1500:
-            return _best_rows_python(adj, cells)
-        return _best_rows_numpy(adj, n, cells)
-    target = min((c for c in cells if len(c) > 1), key=len)
-    best = None
-    for v in target:
-        branched = [c * 2 for c in colors]
-        branched[v] -= 1
-        cand = _canonical_core(adj, n, branched)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    return best
-
-
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """A labeling old->new such that isomorphic graphs relabel identically."""
+def _canonical_perm(g: Graph, budget: _Budget) -> tuple[int, ...]:
     n = g.n
     if n <= 1:
         return tuple(range(n))
@@ -666,7 +675,7 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
         keyed = []
         for comp in comps:
             sub = g.induced(comp)
-            sub_perm = canonical_permutation(sub)
+            sub_perm = _canonical_perm(sub, budget)
             cert = to_graph6(sub.relabel(sub_perm))
             keyed.append((sub.n, cert, comp, sub_perm))
         keyed.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -679,12 +688,13 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
         return tuple(perm)
     co = complement(g)
     if not co.is_connected():
-        return canonical_permutation(co)
-    _key, row = _canonical_core(g.adj, n, [0] * n)
-    perm = [0] * n
-    for position, old in enumerate(row):
-        perm[old] = position
-    return tuple(perm)
+        return _canonical_perm(co, budget)
+    return _ir_search(g, budget)[0]
+
+
+def canonical_permutation(g: Graph) -> tuple[int, ...]:
+    """A labeling old->new such that isomorphic graphs relabel identically."""
+    return _canonical_perm(g, _Budget(None, "canonical labelling search"))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -696,99 +706,22 @@ def canonical_form(g: Graph) -> bytes:
     return to_graph6(canonical_graph(g)).encode("ascii")
 
 
-def _joint_wl(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
-    # refine on the disjoint union so color ids are comparable across graphs
-    n = g.n
-    adj = list(g.adj) + [a << n for a in h.adj]
-    colors = _wl_colors(tuple(adj), n + h.n, [0] * (n + h.n))
-    return colors[:n], colors[n:]
-
-
-def _iso_map(g: Graph, h: Graph, *, find_all: bool = False, node_budget: int | None = None):
-    """Backtracking search for induced isomorphisms g -> h.
-
-    Returns one mapping (list old->new) or None; with find_all, a list of all.
-    """
-    n = g.n
-    if n != h.n or g.edge_count != h.edge_count:
-        return [] if find_all else None
-    cg, ch = _joint_wl(g, h)
-    hist_g: dict[int, int] = {}
-    hist_h: dict[int, int] = {}
-    for c in cg:
-        hist_g[c] = hist_g.get(c, 0) + 1
-    for c in ch:
-        hist_h[c] = hist_h.get(c, 0) + 1
-    if hist_g != hist_h:
-        return [] if find_all else None
-    color_mask_h = {c: 0 for c in hist_h}
-    for v, c in enumerate(ch):
-        color_mask_h[c] |= 1 << v
-    domains = [color_mask_h[cg[v]] for v in range(n)]
-    gadj, hadj = g.adj, h.adj
-    full = (1 << n) - 1
-    order: list[int] = []
-    placed = 0
-    # most-constrained-first static order, keeping connectivity to placed set
-    while len(order) < n:
-        best_v, best_key = -1, None
-        for v in range(n):
-            if placed >> v & 1:
-                continue
-            attached = (gadj[v] & placed).bit_count()
-            key = (-attached, domains[v].bit_count(), -gadj[v].bit_count())
-            if best_key is None or key < best_key:
-                best_key, best_v = key, v
-        order.append(best_v)
-        placed |= 1 << best_v
-    mapping = [-1] * n
-    used = 0
-    found: list[list[int]] = []
-    budget = _Budget(node_budget, "isomorphism search")
-
-    def search(depth: int) -> bool:
-        nonlocal used
-        if depth == n:
-            found.append(mapping.copy())
-            return not find_all
-        budget.tick()
-        v = order[depth]
-        # images of v's already-placed neighbors; candidate w must hit exactly these
-        required = 0
-        for u in _bits(gadj[v]):
-            if mapping[u] >= 0:
-                required |= 1 << mapping[u]
-        for w in _bits(domains[v] & ~used):
-            if hadj[w] & used != required:
-                continue
-            mapping[v] = w
-            used |= 1 << w
-            if search(depth + 1):
-                return True
-            used &= ~(1 << w)
-            mapping[v] = -1
-        return False
-
-    search(0)
-    if find_all:
-        return found
-    return found[0] if found else None
-
-
 def are_isomorphic(g: Graph, h: Graph, *, node_budget: int | None = None) -> bool:
+    """Compare canonical forms; ``node_budget`` caps both searches together."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    if g.n <= 12:
-        return canonical_form(g) == canonical_form(h)
-    return _iso_map(g, h, node_budget=node_budget) is not None
+    budget = _Budget(node_budget, "isomorphism search")
+    return g.relabel(_canonical_perm(g, budget)) == h.relabel(_canonical_perm(h, budget))
 
 
 def automorphisms(g: Graph, *, node_budget: int | None = None) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations, as old->new tuples."""
-    maps = _iso_map(g, g, find_all=True, node_budget=node_budget)
-    return [tuple(m) for m in maps]
+    """All adjacency-preserving vertex permutations, as sorted old->new tuples."""
+    from .groups import automorphism_group
+
+    group = automorphism_group(g, node_budget=node_budget)
+    return group.elements(limit=group.order())
 
 
 # -------------------------------------------------------- exhaustive generation

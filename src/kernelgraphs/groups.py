@@ -10,15 +10,8 @@ import hashlib
 import math
 from collections import deque
 
-from .errors import BudgetExceededError
-from .graphs import (
-    Graph,
-    automorphisms,
-    canonical_form,
-    canonical_permutation,
-    complement,
-    from_graph6,
-)
+from .errors import BudgetExceededError, _Budget
+from .graphs import Graph, _canonical_perm, _ir_search, complement, from_graph6, to_graph6
 
 __all__ = [
     "PermGroup",
@@ -289,34 +282,40 @@ class PermGroup:
 
 # ------------------------------------------------------- automorphism groups
 
-def automorphism_group(g: Graph) -> PermGroup:
-    """Automorphism group of g, decomposing along components when possible."""
+def automorphism_group(g: Graph, *, node_budget: int | None = None) -> PermGroup:
+    """Automorphism group of g, decomposing along components when possible.
+
+    ``node_budget`` caps the search nodes of the whole call.
+    """
+    return _aut_group(g, _Budget(node_budget, "automorphism search"))
+
+
+def _aut_group(g: Graph, budget: _Budget) -> PermGroup:
     n = g.n
     if n == 0:
         return PermGroup(0, [])
     comps = g.components()
     if len(comps) > 1:
-        return _component_aut(g, comps)
+        return _component_aut(g, comps, budget)
     co = complement(g)
     if len(co.components()) > 1:
-        return automorphism_group(co)
-    return PermGroup(n, automorphisms(g))
+        return _aut_group(co, budget)
+    return PermGroup(n, _ir_search(g, budget)[1])
 
 
-def _component_aut(g: Graph, comps) -> PermGroup:
+def _component_aut(g: Graph, comps, budget: _Budget) -> PermGroup:
     n = g.n
-    classes: dict[bytes, list] = {}
+    classes: dict[str, list] = {}
     for comp in comps:
         sub = g.induced(comp)
-        cert = canonical_form(sub)
-        canon = canonical_permutation(sub)
+        canon = _canonical_perm(sub, budget)
+        cert = to_graph6(sub.relabel(canon))
         classes.setdefault(cert, []).append((comp, canon, _inv(canon)))
     gens: list[tuple[int, ...]] = []
     identity = list(range(n))
     for cert in sorted(classes):
         members = classes[cert]
-        canon_graph = from_graph6(cert.decode("ascii"))
-        inner = automorphism_group(canon_graph)
+        inner = _aut_group(from_graph6(cert), budget)
         comp, canon, canon_inv = members[0]
         for a in inner.generators:
             perm = identity.copy()

@@ -61,7 +61,7 @@ def test_census_n3(tmp_path):
     assert summary.warnings == ()
 
     lines = (tmp_path / "hulls_n3.jsonl").read_text().splitlines()
-    assert json.loads(lines[0]) == {"schema_version": 1, "n": 3}
+    assert json.loads(lines[0]) == {"schema_version": 2, "n": 3}
     assert len(lines) == 1 + 4
     for name in ("summary_n3.json", "groups_n3.csv", "sizes_n3.csv"):
         assert (tmp_path / name).exists()
@@ -118,6 +118,29 @@ def test_census_resume_completes_partial_file(tmp_path):
     lines = (part_dir / "hulls_n4.jsonl").read_text().splitlines()
     assert len(lines) == len(src)
     assert sorted(lines) == sorted(src)
+
+
+def test_census_resume_drops_torn_final_row(tmp_path):
+    fresh = run_census(5, tmp_path / "fresh")
+    text = (tmp_path / "fresh" / "hulls_n5.jsonl").read_text()
+    last_row = text.rstrip("\n").rfind("\n") + 1
+    torn = tmp_path / "torn" / "hulls_n5.jsonl"
+    torn.parent.mkdir()
+    torn.write_text(text[: last_row + 10])
+    assert run_census(5, torn.parent) == fresh
+    assert torn.read_text() == text
+
+    # a torn header leaves nothing to resume: the census starts over
+    torn.write_text(text[:10])
+    assert run_census(5, torn.parent) == fresh
+    assert torn.read_text() == text
+
+    # anywhere else, bad JSON is still an error
+    lines = text.splitlines(keepends=True)
+    lines[3] = lines[3][:10] + "\n"
+    torn.write_text("".join(lines))
+    with pytest.raises(ValueError, match="not valid JSON"):
+        run_census(5, torn.parent)
 
 
 def test_census_resume_false_starts_over(tmp_path):

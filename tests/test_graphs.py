@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from kernelgraphs.errors import BudgetExceededError, ParseError, UnsupportedParameterError
+from kernelgraphs.errors import BudgetExceededError, ParseError, UnsupportedParameterError, _Budget
 from kernelgraphs.graphs import (
     Graph,
+    _ir_search,
     are_isomorphic,
     automorphisms,
     canonical_form,
@@ -32,6 +33,19 @@ from kernelgraphs.graphs import (
     triangular,
     union_complete,
 )
+from kernelgraphs.groups import PermGroup, automorphism_group
+
+
+def shrikhande() -> Graph:
+    """Cayley graph on Z4 x Z4 with connection set +-(1,0), +-(0,1), +-(1,1)."""
+    steps = [(1, 0), (0, 1), (1, 1)]
+    edges = [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4)
+        for b in range(4)
+        for da, db in steps
+    ]
+    return Graph(16, edges)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -241,11 +255,11 @@ def test_k_color_precolor_and_budget():
 
 
 def test_automorphism_budget_is_exact():
-    # node count recorded before the search counters were shared
+    # node count of the individualization-refinement search
     g = cartesian_product(cycle(5), path(3))
     with pytest.raises(BudgetExceededError):
-        automorphisms(g, node_budget=225)
-    assert len(automorphisms(g, node_budget=226)) == 20
+        automorphisms(g, node_budget=9)
+    assert len(automorphisms(g, node_budget=10)) == 20
 
 
 # ------------------------------------------------------- canonical forms / iso
@@ -329,6 +343,37 @@ def test_automorphism_counts():
     for a in automorphisms(cycle(6)):
         g = cycle(6)
         assert g.relabel(a) == g
+
+
+def test_search_generators_span_the_brute_force_group():
+    for n in range(1, 7):
+        for g in generate_all(n):
+            _labelling, gens = _ir_search(g, _Budget(None, "test"))
+            assert all(g.relabel(a) == g for a in gens)
+            brute = sum(1 for p in itertools.permutations(range(n)) if g.relabel(p) == g)
+            assert PermGroup(n, gens).order() == brute
+
+
+def test_automorphism_group_orders_of_paper_families():
+    cases = [
+        (hamming(4, 2), 384),
+        (shrikhande(), 192),
+        (cartesian_product(cycle(5), cycle(5)), 200),
+        (hamming(3, 3), 1296),
+        (square_lattice(5), 28_800),
+    ]
+    for g, order in cases:
+        assert automorphism_group(g).order() == order
+
+
+def test_canonical_form_invariant_on_paper_families():
+    rng = random.Random(61)
+    for g in (square_lattice(5), hamming(3, 3), shrikhande()):
+        form = canonical_form(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)) == form
 
 
 # ----------------------------------------------------------------- generation
