@@ -289,6 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         parents=[_common_options(for_subcommand=False)],
     )
+    # subcommands record the budget flags they read; main rejects the rest
+    parser.set_defaults(budgets=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -305,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hull", parents=[common], help="hull of a graph")
     p.add_argument("graph", help="graph6 text")
     p.add_argument("--iterate", action="store_true", help="repeat until a fixed point")
-    p.set_defaults(func=_cmd_hull)
+    p.set_defaults(func=_cmd_hull, budgets=("node_budget",))
 
     p = sub.add_parser("derived", parents=[common], help="derived graph on the same vertices")
     p.add_argument("graph", help="graph6 text")
@@ -313,11 +315,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("end-count", parents=[common], help="number of endomorphisms")
     p.add_argument("graph", help="graph6 text")
-    p.set_defaults(func=_cmd_end_count)
+    p.set_defaults(func=_cmd_end_count, budgets=("node_budget",))
 
     p = sub.add_parser("aut", parents=[common], help="automorphism group name and order")
     p.add_argument("graph", help="graph6 text")
-    p.set_defaults(func=_cmd_aut)
+    p.set_defaults(func=_cmd_aut, budgets=("node_budget",))
 
     p = sub.add_parser("mingen", parents=[common], help="minimal generating set for a graph")
     p.add_argument("graph", help="graph6 text")
@@ -326,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="restrict members to endomorphisms of the graph",
     )
-    p.set_defaults(func=_cmd_mingen)
+    p.set_defaults(func=_cmd_mingen, budgets=("node_budget",))
 
     p = sub.add_parser("sync-check", parents=[common], help="synchronization check")
     p.add_argument("file", nargs="?", default="-", help="transformation file, - for stdin")
@@ -335,7 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also materialize the closure and report its size",
     )
-    p.set_defaults(func=_cmd_sync_check)
+    p.set_defaults(
+        func=_cmd_sync_check, budgets=lambda a: ("closure_cap",) if a.closure else ()
+    )
 
     p = sub.add_parser("census", parents=[common], help="hull census for n vertices")
     p.add_argument("n", type=int)
@@ -366,9 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = ds.add_parser("extendible", parents=[common], help="find a row extending an array")
     q.add_argument("file", nargs="?", default="-", help="array rows, - for stdin")
-    q.set_defaults(func=_cmd_designs_extendible)
+    q.set_defaults(func=_cmd_designs_extendible, budgets=("node_budget",))
 
     return parser
+
+
+def _reject_unread_budgets(args) -> None:
+    read = args.budgets(args) if callable(args.budgets) else args.budgets
+    for dest in ("node_budget", "closure_cap"):
+        if getattr(args, dest) is not None and dest not in read:
+            command = " ".join(filter(None, (args.command, getattr(args, "design_command", ""))))
+            raise ValueError(f"{command} does not read --{dest.replace('_', '-')}")
 
 
 def main(argv=None) -> int:
@@ -381,6 +393,7 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGALRM, on_alarm)
         signal.setitimer(signal.ITIMER_REAL, args.time_limit)
     try:
+        _reject_unread_budgets(args)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

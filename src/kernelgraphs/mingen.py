@@ -6,6 +6,13 @@ member. The search space is therefore partitions of the vertices into
 independent blocks; chosen partitions are realized as transformations at the
 end. Every constructor re-derives the kernel graph of what it built and
 refuses to return a set that misses the target.
+
+A partition merges a subset of another's pairs exactly when it refines it,
+and both admissibility tests are closed under refinement: sub-blocks of an
+independent block are independent, and if P' refines P then a homomorphism
+G/P -> G composes with G/P' -> G/P. So the exact search keeps only partitions
+whose merged pairs are inclusion-maximal, and tests a partition only when no
+accepted partition coarsens it; a minimum cover never needs the others.
 """
 
 from dataclasses import dataclass
@@ -103,15 +110,6 @@ def _admissible_partitions(g: Graph):
     yield from place(0)
 
 
-def _is_coarsening_maximal(g: Graph, blocks) -> bool:
-    """No two blocks can be merged without trapping an edge."""
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if all(not g.adj[v] & blocks[j] for v in _bits(blocks[i])):
-                return False
-    return True
-
-
 def _coverage_mask(blocks, pair_index) -> int:
     mask = 0
     for b in blocks:
@@ -120,17 +118,6 @@ def _coverage_mask(blocks, pair_index) -> int:
             for y in range(x + 1, len(vs)):
                 mask |= 1 << pair_index[vs[x], vs[y]]
     return mask
-
-
-def _dominance_filter(cands):
-    """Drop candidates whose coverage is contained in another's."""
-    cands = sorted(cands, key=lambda c: -c[1].bit_count())
-    kept = []
-    for blocks, mask in cands:
-        if any(mask | other == other for _, other in kept):
-            continue
-        kept.append((blocks, mask))
-    return kept
 
 
 def _min_cover(masks: list[int], m: int, *, node_budget: int | None = None) -> list[int]:
@@ -193,13 +180,20 @@ def minimal_generating_set(
         )
     pair_index = {p: i for i, p in enumerate(nonedges)}
     m = len(nonedges)
+    cands: list[tuple[tuple[int, ...], int]] = []
+    for blocks in _admissible_partitions(g):
+        mask = _coverage_mask(blocks, pair_index)
+        # refines an accepted partition, which serves any cover at least as well
+        if any(mask | other == other for _, other in cands):
+            continue
+        if within_endomorphisms and not exists_homomorphism(
+            _quotient(g, _block_of(g.n, blocks), len(blocks)), g, node_budget=node_budget
+        ):
+            continue
+        cands = [c for c in cands if c[1] | mask != mask]
+        cands.append((blocks, mask))
+    cands.sort(key=lambda c: -c[1].bit_count())
     if within_endomorphisms:
-        cands = []
-        for blocks in _admissible_partitions(g):
-            quotient = _quotient(g, _block_of(g.n, blocks), len(blocks))
-            if exists_homomorphism(quotient, g, node_budget=node_budget):
-                cands.append((blocks, _coverage_mask(blocks, pair_index)))
-        cands = _dominance_filter(cands)
         union = 0
         for _, mask in cands:
             union |= mask
@@ -207,25 +201,17 @@ def minimal_generating_set(
             bad = [nonedges[b] for b in range(m) if not union >> b & 1]
             pairs = ", ".join(f"({u + 1},{v + 1})" for u, v in bad)
             raise NotAHullError(f"no endomorphism merges the pair(s) {pairs}")
-        method = "exhaustive-endomorphic"
-    else:
-        cands = _dominance_filter(
-            [
-                (blocks, _coverage_mask(blocks, pair_index))
-                for blocks in _admissible_partitions(g)
-                if _is_coarsening_maximal(g, blocks)
-            ]
-        )
-        method = "exhaustive"
     chosen = _min_cover([mask for _, mask in cands], m, node_budget=node_budget)
     if within_endomorphisms:
         maps = tuple(
             _endomorphism_with_kernel(g, cands[i][0], node_budget=node_budget) for i in chosen
         )
+        method = "exhaustive-endomorphic"
     else:
         maps = tuple(
             Partition([list(_bits(b)) for b in cands[i][0]]).as_transformation() for i in chosen
         )
+        method = "exhaustive"
     _check_regenerates(g, maps)
     return GeneratingSet(maps, True, len(chosen), method)
 

@@ -256,6 +256,47 @@ def test_aut_honours_node_budget(capsys):
     assert "order=384" in out
 
 
+def test_unread_budget_flags_are_rejected(tmp_path, capsys):
+    g6 = to_graph6(cycle(5))
+    f = tmp_path / "maps.txt"
+    f.write_text("[2,1,3]\n[1,1,3]\n")
+    for argv, flag in [
+        (["census", "3", "--out", str(tmp_path), "--node-budget", "5"], "--node-budget"),
+        (["--closure-cap", "9", "preimages", g6], "--closure-cap"),
+        (["--node-budget", "9", "kernel-graph", str(f)], "--node-budget"),
+        (["derived", g6, "--node-budget", "9"], "--node-budget"),
+        (["designs", "mols", "3", "--node-budget", "9"], "--node-budget"),
+        (["designs", "oa", "3", "--closure-cap", "9"], "--closure-cap"),
+        (["designs", "oa-graph", str(f), "--node-budget", "9"], "--node-budget"),
+        (["sync-check", str(f), "--closure-cap", "9"], "--closure-cap"),
+        (["sync-check", str(f), "--node-budget", "9"], "--node-budget"),
+        (["hull", g6, "--closure-cap", "9"], "--closure-cap"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+    assert not (tmp_path / "hulls_n3.jsonl").exists()
+
+
+def test_read_budget_flags_are_unchanged(tmp_path, capsys):
+    f = tmp_path / "maps.txt"
+    f.write_text("[2,1,3]\n[1,1,3]\n")
+    g6 = to_graph6(cycle(5))
+    for plain, budget in [
+        (["mingen", g6], ["--node-budget", "100000"]),
+        (["hull", g6], ["--node-budget", "100000"]),
+        (["sync-check", "--closure", str(f)], ["--closure-cap", "100"]),
+    ]:
+        code, want, _ = run(capsys, *plain)
+        assert code == 0
+        assert run(capsys, *budget, *plain) == (0, want, "")
+        assert run(capsys, *plain, *budget) == (0, want, "")
+    code, _, err = run(capsys, "sync-check", "--closure", "--closure-cap", "2", str(f))
+    assert code == 2
+    assert "closure" in err
+
+
 def test_cli_import_loads_no_numpy():
     src = str(Path(kernelgraphs.__file__).parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
@@ -295,6 +336,13 @@ def test_json_output_matches_goldens(capsys):
         ),
         ("--json", "aut", "DUW"): (
             '{"generators": ["[1,5,4,3,2]", "[2,3,4,5,1]"], "name": "D10", "order": 10}'
+        ),
+        ("--json", "mingen", "E`ow", "--endomorphisms"): (
+            '{"kernels": ["{{1,3},{2,6},{4,5}}", "{{1,6},{2,4},{3,5}}",'
+            ' "{{1,6},{2,3},{4,5}}", "{{1,4},{2,6},{3,5}}"], "lower_bound": 4,'
+            ' "members": ["[1,2,1,5,5,2]", "[1,2,5,2,5,1]", "[1,2,2,5,5,1]",'
+            ' "[1,2,5,1,5,2]"], "method": "exhaustive-endomorphic",'
+            ' "minimal": true, "size": 4}'
         ),
     }
     for argv, want in golden.items():

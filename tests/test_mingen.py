@@ -212,6 +212,53 @@ def test_endomorphic_never_beats_unrestricted():
         assert endo >= free
 
 
+def brute_endomorphic_minimum(g: Graph) -> int | None:
+    """Fewest endomorphism kernels covering every non-edge, None if impossible.
+
+    Endomorphisms come from a scan of all n^n maps and the minimum from a
+    breadth-first search over covered-pair masks; neither uses the library.
+    """
+    nonedges = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if not g.adj[u] >> v & 1
+    ]
+    edges = [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1
+    ]
+    kernels = set()
+    for images in itertools.product(range(g.n), repeat=g.n):
+        if all(g.adj[images[u]] >> images[v] & 1 for u, v in edges):
+            kernels.add(
+                sum(1 << i for i, (u, v) in enumerate(nonedges) if images[u] == images[v])
+            )
+    full = (1 << len(nonedges)) - 1
+    seen = {0}
+    frontier = [0]
+    steps = 0
+    while full not in seen:
+        frontier = [c | k for c in frontier for k in kernels if c | k not in seen]
+        if not frontier:
+            return None
+        seen.update(frontier)
+        steps += 1
+    return steps
+
+
+def test_endomorphic_minimum_against_brute_force():
+    for n in range(1, 6):
+        for g in generate_all(n):
+            want = brute_endomorphic_minimum(g)
+            if want is None:
+                with pytest.raises(NotAHullError):
+                    minimal_generating_set(g, within_endomorphisms=True)
+                continue
+            gs = minimal_generating_set(g, within_endomorphisms=True)
+            assert gs.size == want and gs.minimal and gs.lower_bound == want
+            assert regenerates(g, gs)
+
+
 # ------------------------------------------------------------ matching family
 
 
