@@ -24,7 +24,7 @@ from .mingen import minimal_generating_set
 from .semigroup import is_synchronizing
 from .transform import Transformation
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _CENSUS_LIMIT = 8
 
 # Size conventions used by the published tables: generating sets are drawn
@@ -149,6 +149,8 @@ def _read_rows(path: Path, n: int) -> tuple[dict[str, dict], int]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line[:40]}")
         if lineno == 1:
             if record.get("n") != n:
                 raise ValueError(f"{path}: census file is for n={record.get('n')}, not n={n}")
@@ -158,6 +160,8 @@ def _read_rows(path: Path, n: int) -> tuple[dict[str, dict], int]:
                     f"expected {SCHEMA_VERSION}"
                 )
             continue
+        if "graph6" not in record:
+            raise ValueError(f"{path}:{lineno}: row has no graph6 field")
         rows.setdefault(record["graph6"], record)
     return rows, end
 

@@ -665,36 +665,9 @@ def _ir_search(g: Graph, budget: _Budget):
     return tuple(best[1]), generators
 
 
-def _canonical_perm(g: Graph, budget: _Budget) -> tuple[int, ...]:
-    n = g.n
-    if n <= 1:
-        return tuple(range(n))
-    comps = g.components()
-    if len(comps) > 1:
-        # canonicalize components, order them by (size, certificate)
-        keyed = []
-        for comp in comps:
-            sub = g.induced(comp)
-            sub_perm = _canonical_perm(sub, budget)
-            cert = to_graph6(sub.relabel(sub_perm))
-            keyed.append((sub.n, cert, comp, sub_perm))
-        keyed.sort(key=lambda t: (t[0], t[1], t[2]))
-        perm = [0] * n
-        offset = 0
-        for size, _cert, comp, sub_perm in keyed:
-            for local, v in enumerate(comp):
-                perm[v] = offset + sub_perm[local]
-            offset += size
-        return tuple(perm)
-    co = complement(g)
-    if not co.is_connected():
-        return _canonical_perm(co, budget)
-    return _ir_search(g, budget)[0]
-
-
 def canonical_permutation(g: Graph) -> tuple[int, ...]:
     """A labeling old->new such that isomorphic graphs relabel identically."""
-    return _canonical_perm(g, _Budget(None, "canonical labelling search"))
+    return _ir_search(g, _Budget(None, "canonical labelling search"))[0]
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -713,7 +686,7 @@ def are_isomorphic(g: Graph, h: Graph, *, node_budget: int | None = None) -> boo
     if g.degree_sequence() != h.degree_sequence():
         return False
     budget = _Budget(node_budget, "isomorphism search")
-    return g.relabel(_canonical_perm(g, budget)) == h.relabel(_canonical_perm(h, budget))
+    return g.relabel(_ir_search(g, budget)[0]) == h.relabel(_ir_search(h, budget)[0])
 
 
 def automorphisms(g: Graph, *, node_budget: int | None = None) -> list[tuple[int, ...]]:

@@ -11,7 +11,7 @@ import math
 from collections import deque
 
 from .errors import BudgetExceededError, _Budget
-from .graphs import Graph, _canonical_perm, _ir_search, complement, from_graph6, to_graph6
+from .graphs import Graph, _ir_search
 
 __all__ = [
     "PermGroup",
@@ -283,55 +283,11 @@ class PermGroup:
 # ------------------------------------------------------- automorphism groups
 
 def automorphism_group(g: Graph, *, node_budget: int | None = None) -> PermGroup:
-    """Automorphism group of g, decomposing along components when possible.
+    """Automorphism group of g, spanned by the generators the search finds.
 
     ``node_budget`` caps the search nodes of the whole call.
     """
-    return _aut_group(g, _Budget(node_budget, "automorphism search"))
-
-
-def _aut_group(g: Graph, budget: _Budget) -> PermGroup:
-    n = g.n
-    if n == 0:
-        return PermGroup(0, [])
-    comps = g.components()
-    if len(comps) > 1:
-        return _component_aut(g, comps, budget)
-    co = complement(g)
-    if len(co.components()) > 1:
-        return _aut_group(co, budget)
-    return PermGroup(n, _ir_search(g, budget)[1])
-
-
-def _component_aut(g: Graph, comps, budget: _Budget) -> PermGroup:
-    n = g.n
-    classes: dict[str, list] = {}
-    for comp in comps:
-        sub = g.induced(comp)
-        canon = _canonical_perm(sub, budget)
-        cert = to_graph6(sub.relabel(canon))
-        classes.setdefault(cert, []).append((comp, canon, _inv(canon)))
-    gens: list[tuple[int, ...]] = []
-    identity = list(range(n))
-    for cert in sorted(classes):
-        members = classes[cert]
-        inner = _aut_group(from_graph6(cert), budget)
-        comp, canon, canon_inv = members[0]
-        for a in inner.generators:
-            perm = identity.copy()
-            for local, v in enumerate(comp):
-                perm[v] = comp[canon_inv[a[canon[local]]]]
-            gens.append(tuple(perm))
-        for i in range(len(members) - 1):
-            comp_a, canon_a, _ = members[i]
-            comp_b, _, canon_b_inv = members[i + 1]
-            perm = identity.copy()
-            for local, v in enumerate(comp_a):
-                w = comp_b[canon_b_inv[canon_a[local]]]
-                perm[v] = w
-                perm[w] = v
-            gens.append(tuple(perm))
-    return PermGroup(n, gens)
+    return PermGroup(g.n, _ir_search(g, _Budget(node_budget, "automorphism search"))[1])
 
 
 # ------------------------------------------------------------------- catalog
@@ -422,10 +378,11 @@ def _catalog() -> dict[tuple, str]:
 def group_name(group: PermGroup) -> str:
     """Catalog name for small groups, a generic order-based label otherwise."""
     order = group.order()
-    try:
-        fp = group.fingerprint()
-    except BudgetExceededError:
+    if order > DEFAULT_ELEMENT_CAP:
+        # the fingerprint enumerates every element; testing the cap here
+        # instead of catching its error lets a wall-clock alarm through
         return f"G{order}"
+    fp = group.fingerprint()
     known = _catalog().get(fp)
     if known is not None:
         return known

@@ -262,7 +262,9 @@ def matching_generators(copies: int) -> GeneratingSet:
     try:
         lb = matching_minimum_size(copies, node_budget=2_000_000)
     except BudgetExceededError:
-        lb = 2
+        # bounds carry upward: a cover of these edges also covers any
+        # 2^(r-2)+1 of them, so their minimum is a lower bound here
+        lb = matching_generators(2 ** (r - 2) + 1).lower_bound
     return GeneratingSet(tuple(maps), lb == r + 1, lb, "binary-rows")
 
 

@@ -68,16 +68,19 @@ class Transformation:
         if not (s.startswith("[") and s.endswith("]")):
             col = 1 if not s.startswith("[") else len(text)
             raise ParseError(f"expected bracketed image list, got {text!r}", line=line, column=col)
-        body = s[1:-1].strip()
-        if not body:
+        body = s[1:-1]
+        if not body.strip():
             raise ParseError("empty image list", line=line, column=2)
         images = []
+        start = len(text) - len(text.lstrip()) + 1  # index in text of the entry
         for part in body.split(","):
             p = part.strip()
             if not p.isdigit():
-                col = text.index(part) + 1 if part in text else None
-                raise ParseError(f"bad image entry {part.strip()!r}", line=line, column=col)
+                # the entry's first non-blank character, or the delimiter ending it
+                col = start + len(part) - len(part.lstrip()) + 1
+                raise ParseError(f"bad image entry {p!r}", line=line, column=col)
             images.append(int(p))
+            start += len(part) + 1
         n = len(images)
         for x in images:
             if not 1 <= x <= n:

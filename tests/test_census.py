@@ -61,7 +61,7 @@ def test_census_n3(tmp_path):
     assert summary.warnings == ()
 
     lines = (tmp_path / "hulls_n3.jsonl").read_text().splitlines()
-    assert json.loads(lines[0]) == {"schema_version": 2, "n": 3}
+    assert json.loads(lines[0]) == {"schema_version": 3, "n": 3}
     assert len(lines) == 1 + 4
     for name in ("summary_n3.json", "groups_n3.csv", "sizes_n3.csv"):
         assert (tmp_path / name).exists()
@@ -152,6 +152,13 @@ def test_census_resume_false_starts_over(tmp_path):
     assert len(lines) == 5
 
 
+def test_census_reruns_write_identical_files(tmp_path):
+    run_census(5, tmp_path)
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    run_census(5, tmp_path, resume=False)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
 def test_census_rejects_foreign_file(tmp_path):
     (tmp_path / "hulls_n4.jsonl").write_text('{"n": 5, "schema_version": 1}\n')
     with pytest.raises(ValueError, match="n=5"):
@@ -162,6 +169,19 @@ def test_census_rejects_foreign_file(tmp_path):
     (tmp_path / "hulls_n2.jsonl").write_text("not json\n")
     with pytest.raises(ValueError, match="not valid JSON"):
         run_census(2, tmp_path)
+
+
+def test_census_rejects_malformed_rows(tmp_path):
+    path = tmp_path / "hulls_n3.jsonl"
+    path.write_text("[3]\n")
+    with pytest.raises(ValueError, match=r"hulls_n3\.jsonl:1: expected a JSON object"):
+        run_census(3, tmp_path)
+    path.write_text('{"n": 3, "schema_version": 3}\n{"is_hull": false}\n')
+    with pytest.raises(ValueError, match=r"hulls_n3\.jsonl:2: row has no graph6 field"):
+        run_census(3, tmp_path)
+    path.write_text('{"n": 3, "schema_version": 3}\n"Bw"\n')
+    with pytest.raises(ValueError, match=r"hulls_n3\.jsonl:2: expected a JSON object"):
+        run_census(3, tmp_path)
 
 
 def test_census_worker_count_does_not_change_output(tmp_path):

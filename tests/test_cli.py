@@ -167,6 +167,19 @@ def test_census_command(tmp_path, capsys):
     assert out.startswith("n=3\tgraphs=4\thulls=4\n")
 
 
+def test_census_malformed_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "hulls_n3.jsonl"
+    for text, where in (
+        ("[3]\n", ":1: expected a JSON object"),
+        ('{"n": 3, "schema_version": 3}\n{"is_hull": false}\n', ":2: row has no graph6"),
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, "census", "3", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and where in err
+        assert "Traceback" not in err
+
+
 def test_preimages_command(capsys):
     k4 = to_graph6(complete(4))
     code, out, _ = run(capsys, "preimages", k4)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -369,6 +370,24 @@ def test_automorphism_group_orders_of_paper_families():
 def test_canonical_form_invariant_on_paper_families():
     rng = random.Random(61)
     for g in (square_lattice(5), hamming(3, 3), shrikhande()):
+        form = canonical_form(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)) == form
+
+
+def test_disconnected_and_co_disconnected_graphs():
+    # (k!)^c c! is the order of S_k wr S_c
+    cases = [(disjoint_union(cycle(5), 3), 6_000), (union_complete([1, 2, 2, 3]), 48)]
+    for c in range(2, 6):
+        for k in range(1, 6):
+            order = math.factorial(k) ** c * math.factorial(c)
+            cases.append((union_complete([k] * c), order))
+            cases.append((complete_multipartite([k] * c), order))
+    rng = random.Random(67)
+    for g, order in cases:
+        assert automorphism_group(g).order() == order
         form = canonical_form(g)
         for _ in range(3):
             perm = list(range(g.n))

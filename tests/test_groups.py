@@ -193,6 +193,17 @@ def test_triple_clique_group_order():
     assert group_name(group) == "G10368000"
 
 
+def test_group_name_lets_a_wall_clock_alarm_through(monkeypatch):
+    # a --time-limit alarm raised while the fingerprint runs must stop the
+    # caller, not turn into a G<order> label written to a census row
+    def alarm(self, limit=None):
+        raise BudgetExceededError("time", 0.05, "wall clock limit hit")
+
+    monkeypatch.setattr(PermGroup, "fingerprint", alarm)
+    with pytest.raises(BudgetExceededError, match="time"):
+        group_name(automorphism_group(cycle(5)))
+
+
 def test_rook_complement_group_order():
     group = automorphism_group(complement(hamming(2, 4)))
     assert group.order() == 1152

@@ -287,6 +287,21 @@ def test_matching_budget_is_exact(monkeypatch):
     assert matching_minimum_size(5, node_budget=20721) == 4
 
 
+def test_matching_bound_carries_upward_when_refutation_runs_out(monkeypatch):
+    real = mingen.matching_minimum_size
+
+    def out_of_budget(copies, *, node_budget=None):
+        if copies >= 9:
+            raise BudgetExceededError("search nodes", node_budget, "matching refutation")
+        return real(copies, node_budget=node_budget)
+
+    monkeypatch.setattr(mingen, "matching_minimum_size", out_of_budget)
+    gs = matching_generators(9)
+    # 5 edges need 4 members, and dropping edges keeps a cover working
+    assert gs.lower_bound == 4 and gs.minimal is False
+    assert gs.size == 5
+
+
 def test_node_budget_caps_cover_search():
     # every other search here needs far fewer nodes than the set cover
     c7 = cycle(7)

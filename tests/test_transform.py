@@ -47,6 +47,21 @@ def test_parse_rejects_out_of_range():
         Transformation.parse("1,2,3")
 
 
+def test_parse_error_column_points_at_the_bad_entry():
+    cases = {
+        "[1,,2]": 4,  # the delimiter ending the empty entry
+        "[1,2,]": 6,
+        "[2, x]": 5,  # the entry's first non-blank character
+        "  [1, 2,y]": 9,
+        "[1,  ,2]": 6,
+    }
+    for text, column in cases.items():
+        with pytest.raises(ParseError) as info:
+            Transformation.parse(text, line=3)
+        assert (info.value.line, info.value.column) == (3, column), text
+    assert Transformation.parse(" [ 2 , 1 ] ").images == (1, 0)
+
+
 def test_compose_worked_example():
     t1 = Transformation.parse("[3,3,4,3]")
     t2 = Transformation.parse("[3,3,2,4]")
