@@ -9,10 +9,11 @@ is reported as warnings on the summary, never as a failure.
 
 import csv
 import json
+import multiprocessing
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .transform import Transformation
 
 SCHEMA_VERSION = 3
 _CENSUS_LIMIT = 8
+_CHUNK = 8  # graphs per task of a parallel census
 
 # Size conventions used by the published tables: generating sets are drawn
 # from the graph's own endomorphisms, and the complete graph is listed under
@@ -171,9 +173,11 @@ def _compute_rows(batch: list[str], workers: int):
         for g6 in batch:
             yield _census_entry(g6)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(batch) // (workers * 4))
-        yield from pool.map(_census_entry, batch, chunksize=chunk)
+    # leaving the pool terminates its workers at once, so an interrupt such as
+    # the CLI's --time-limit neither waits for unfinished chunks nor loses
+    # rows already yielded; imap yields rows in batch order
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        yield from pool.imap(_census_entry, batch, chunksize=_CHUNK)
 
 
 def _table_warnings(n: int, kind: str, computed: dict, reference: dict) -> list[str]:
@@ -197,7 +201,9 @@ def run_census(n: int, out_dir, *, workers: int = 1, resume: bool = True) -> Cen
     Produces hulls_n{n}.jsonl (one record per isomorphism class, header line
     first), summary_n{n}.json, and per-distribution CSV files.  A partial
     JSONL from an interrupted run is picked up and completed when resume is
-    true; resume=False starts over.
+    true; resume=False starts over. With workers > 1 the rows are computed by
+    spawned worker processes, so a script calling this needs the usual
+    ``if __name__ == "__main__":`` guard.
     """
     if not 1 <= n <= _CENSUS_LIMIT:
         raise UnsupportedParameterError(
@@ -222,8 +228,9 @@ def run_census(n: int, out_dir, *, workers: int = 1, resume: bool = True) -> Cen
     order = [to_graph6(g) for g in generate_all(n)]
     todo = [g6 for g6 in order if g6 not in done]
     if todo:
-        with path.open("a") as fh:
-            for row in _compute_rows(todo, workers):
+        # closing leaves the pool as soon as an interrupt ends the loop
+        with path.open("a") as fh, closing(_compute_rows(todo, workers)) as computed:
+            for row in computed:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
                 fh.flush()
                 done[row["graph6"]] = row

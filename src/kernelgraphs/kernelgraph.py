@@ -93,23 +93,26 @@ def closure_kernel_graph(generators) -> KernelGraphResult:
     return KernelGraphResult(Graph(n, edges), min_rank_of_generators(gens), None)
 
 
+def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
+    """Non-adjacent pairs (u, v), u < v, that no endomorphism of g merges."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.has_edge(u, v) and not collapsible(g, u, v, node_budget=node_budget):
+                yield u, v
+
+
 def hull(g: Graph, *, node_budget: int | None = None) -> Graph:
     """Kernel graph of the endomorphism monoid of g.
 
     Two vertices are adjacent in the hull exactly when no endomorphism of g
     merges them. The input is always a spanning subgraph of its hull.
     """
-    n = g.n
-    edges = list(g.edges())
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v) and not collapsible(g, u, v, node_budget=node_budget):
-                edges.append((u, v))
-    return Graph(n, edges)
+    return Graph(g.n, [*g.edges(), *_uncollapsible_nonedges(g, node_budget)])
 
 
 def is_hull(g: Graph, *, node_budget: int | None = None) -> bool:
-    return hull(g, node_budget=node_budget) == g
+    """True when hull(g) == g; stops at the first non-edge no endomorphism merges."""
+    return next(_uncollapsible_nonedges(g, node_budget), None) is None
 
 
 def iterated_hull(g: Graph, *, node_budget: int | None = None) -> tuple[Graph, int]:

@@ -13,6 +13,11 @@ independent block are independent, and if P' refines P then a homomorphism
 G/P -> G composes with G/P' -> G/P. So the exact search keeps only partitions
 whose merged pairs are inclusion-maximal, and tests a partition only when no
 accepted partition coarsens it; a minimum cover never needs the others.
+
+Pair sets on n vertices are integers with pair u < v as bit u*n + v, so bits
+run in lexicographic pair order. The partition walk places vertices in order
+and keeps, per block, the OR of 1 << u*n over its vertices u; placing v into
+a block adds that integer shifted left by v, its pairs with v, to the mask.
 """
 
 from dataclasses import dataclass
@@ -58,27 +63,9 @@ class GeneratingSet:
         return len(self.transformations)
 
 
-def _nonedges(g: Graph) -> list[tuple[int, int]]:
-    return [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not (g.adj[u] >> v) & 1
-    ]
-
-
 def _check_regenerates(g: Graph, maps) -> None:
     if kernel_graph(list(maps), n=g.n).graph != g:
         raise KernelGraphsError("generating set does not reproduce the target graph")
-
-
-def _block_of(n: int, blocks) -> list[int]:
-    """Index of the block holding each vertex, for blocks given as masks."""
-    block_of = [0] * n
-    for i, b in enumerate(blocks):
-        for v in _bits(b):
-            block_of[v] = i
-    return block_of
 
 
 # ----------------------------------------------------------- exhaustive search
@@ -87,49 +74,52 @@ _EXHAUSTIVE_LIMIT = 10
 
 
 def _admissible_partitions(g: Graph):
-    """All partitions of the vertices into independent blocks, as mask tuples."""
+    """All partitions of the vertices into independent blocks.
+
+    Yields ``(blocks, block_of, mask)``: the blocks as vertex masks, the block
+    index of each vertex, and the merged pairs with pair u < v as bit
+    u*n + v. The two lists are live and change after the next item.
+    """
     adj = g.adj
     n = g.n
     blocks: list[int] = []
+    spread: list[int] = []  # per block, the OR of 1 << u*n over its vertices u
+    block_of = [0] * n
 
-    def place(v: int):
+    def place(v: int, mask: int):
         if v == n:
-            yield tuple(blocks)
+            yield blocks, block_of, mask
             return
         bit = 1 << v
         a = adj[v]
         for i, b in enumerate(blocks):
             if not b & a:
+                s = spread[i]
                 blocks[i] = b | bit
-                yield from place(v + 1)
+                spread[i] = s | 1 << v * n
+                block_of[v] = i
+                yield from place(v + 1, mask | s << v)
                 blocks[i] = b
+                spread[i] = s
+        block_of[v] = len(blocks)
         blocks.append(bit)
-        yield from place(v + 1)
+        spread.append(1 << v * n)
+        yield from place(v + 1, mask)
         blocks.pop()
+        spread.pop()
 
-    yield from place(0)
-
-
-def _coverage_mask(blocks, pair_index) -> int:
-    mask = 0
-    for b in blocks:
-        vs = list(_bits(b))
-        for x in range(len(vs)):
-            for y in range(x + 1, len(vs)):
-                mask |= 1 << pair_index[vs[x], vs[y]]
-    return mask
+    yield from place(0, 0)
 
 
-def _min_cover(masks: list[int], m: int, *, node_budget: int | None = None) -> list[int]:
-    """Indices of a minimum subfamily of masks covering all m bits."""
-    full = (1 << m) - 1
+def _min_cover(masks: list[int], full: int, *, node_budget: int | None = None) -> list[int]:
+    """Indices of a minimum subfamily of masks covering all bits of full."""
     covered = 0
     greedy: list[int] = []
     while covered != full:
         i = max(range(len(masks)), key=lambda i: (masks[i] & ~covered).bit_count())
         greedy.append(i)
         covered |= masks[i]
-    owners = [[i for i, mk in enumerate(masks) if mk >> b & 1] for b in range(m)]
+    owners = {b: [i for i, mk in enumerate(masks) if mk >> b & 1] for b in _bits(full)}
     maxpop = max(mk.bit_count() for mk in masks)
     best = greedy
     chosen: list[int] = []
@@ -145,10 +135,7 @@ def _min_cover(masks: list[int], m: int, *, node_budget: int | None = None) -> l
         need = (full & ~covered).bit_count()
         if len(chosen) + -(-need // maxpop) >= len(best):
             return
-        b = min(
-            (b for b in range(m) if not covered >> b & 1),
-            key=lambda b: len(owners[b]),
-        )
+        b = min(_bits(full & ~covered), key=lambda b: len(owners[b]))
         for i in sorted(owners[b], key=lambda i: -(masks[i] & ~covered).bit_count()):
             chosen.append(i)
             search(covered | masks[i])
@@ -170,46 +157,46 @@ def minimal_generating_set(
     endomorphism of g; that variant is solvable exactly when g is a hull,
     and NotAHullError reports the obstruction otherwise.
     """
-    nonedges = _nonedges(g)
-    if not nonedges:
+    n = g.n
+    full = sum(  # the non-edges u < v, as bits u*n + v
+        1 << u * n + v for u in range(n) for v in range(u + 1, n) if not g.adj[u] >> v & 1
+    )
+    if not full:
         return GeneratingSet((), True, 0, "complete")
-    if g.n > _EXHAUSTIVE_LIMIT:
+    if n > _EXHAUSTIVE_LIMIT:
         raise UnsupportedParameterError(
             f"exhaustive search handles at most {_EXHAUSTIVE_LIMIT} vertices; "
             "use a family constructor for larger graphs"
         )
-    pair_index = {p: i for i, p in enumerate(nonedges)}
-    m = len(nonedges)
     cands: list[tuple[tuple[int, ...], int]] = []
-    for blocks in _admissible_partitions(g):
-        mask = _coverage_mask(blocks, pair_index)
+    for blocks, block_of, mask in _admissible_partitions(g):
         # refines an accepted partition, which serves any cover at least as well
         if any(mask | other == other for _, other in cands):
             continue
         if within_endomorphisms and not exists_homomorphism(
-            _quotient(g, _block_of(g.n, blocks), len(blocks)), g, node_budget=node_budget
+            _quotient(g, block_of, len(blocks)), g, node_budget=node_budget
         ):
             continue
         cands = [c for c in cands if c[1] | mask != mask]
-        cands.append((blocks, mask))
+        cands.append((tuple(block_of), mask))
     cands.sort(key=lambda c: -c[1].bit_count())
     if within_endomorphisms:
         union = 0
         for _, mask in cands:
             union |= mask
-        if union != (1 << m) - 1:
-            bad = [nonedges[b] for b in range(m) if not union >> b & 1]
-            pairs = ", ".join(f"({u + 1},{v + 1})" for u, v in bad)
+        if union != full:
+            pairs = ", ".join(f"({b // n + 1},{b % n + 1})" for b in _bits(full & ~union))
             raise NotAHullError(f"no endomorphism merges the pair(s) {pairs}")
-    chosen = _min_cover([mask for _, mask in cands], m, node_budget=node_budget)
+    chosen = _min_cover([mask for _, mask in cands], full, node_budget=node_budget)
     if within_endomorphisms:
         maps = tuple(
             _endomorphism_with_kernel(g, cands[i][0], node_budget=node_budget) for i in chosen
         )
         method = "exhaustive-endomorphic"
     else:
+        # each vertex to the least vertex of its block, the one that opened it
         maps = tuple(
-            Partition([list(_bits(b)) for b in cands[i][0]]).as_transformation() for i in chosen
+            Transformation([cands[i][0].index(b) for b in cands[i][0]]) for i in chosen
         )
         method = "exhaustive"
     _check_regenerates(g, maps)
@@ -217,10 +204,9 @@ def minimal_generating_set(
 
 
 def _endomorphism_with_kernel(
-    g: Graph, blocks, *, node_budget: int | None = None
+    g: Graph, block_of, *, node_budget: int | None = None
 ) -> Transformation:
-    block_of = _block_of(g.n, blocks)
-    quotient = _quotient(g, block_of, len(blocks))
+    quotient = _quotient(g, block_of, max(block_of) + 1)
     images = next(homomorphisms_iter(quotient, g, node_budget=node_budget))
     return Transformation([images[block_of[v]] for v in range(g.n)])
 

@@ -71,20 +71,21 @@ class Transformation:
         body = s[1:-1]
         if not body.strip():
             raise ParseError("empty image list", line=line, column=2)
+        parts = body.split(",")
+        n = len(parts)
         images = []
         start = len(text) - len(text.lstrip()) + 1  # index in text of the entry
-        for part in body.split(","):
+        for part in parts:
             p = part.strip()
+            # the entry's first non-blank character, or the delimiter ending it
+            col = start + len(part) - len(part.lstrip()) + 1
             if not p.isdigit():
-                # the entry's first non-blank character, or the delimiter ending it
-                col = start + len(part) - len(part.lstrip()) + 1
                 raise ParseError(f"bad image entry {p!r}", line=line, column=col)
-            images.append(int(p))
-            start += len(part) + 1
-        n = len(images)
-        for x in images:
+            x = int(p)
             if not 1 <= x <= n:
-                raise ParseError(f"image value {x} outside 1..{n}", line=line)
+                raise ParseError(f"image value {x} outside 1..{n}", line=line, column=col)
+            images.append(x)
+            start += len(part) + 1
         return cls.from_one_based(images)
 
     def __str__(self) -> str:
@@ -184,8 +185,8 @@ class Partition:
         if n is None:
             n = size
         if seen != set(range(n)):
-            missing = sorted(set(range(n)) - seen)
-            raise ValueError(f"blocks do not cover 0..{n - 1} (missing {missing})")
+            missing = [x + 1 for x in sorted(set(range(n)) - seen)]
+            raise ValueError(f"blocks do not cover 1..{n} (missing {missing})")
         object.__setattr__(self, "blocks", tuple(normalized))
         block_of = [0] * n
         for i, b in enumerate(normalized):
@@ -213,16 +214,10 @@ class Partition:
         body = s[1:-1]
         blocks: list[list[int]] = []
         i = 0
-        while i < len(body):
-            ch = body[i]
-            if ch == ",":
-                i += 1
-                continue
-            if ch != "{":
-                raise ParseError(f"unexpected character {ch!r}", line=line, column=i + 2)
-            stop = body.find("}", i)
-            if stop < 0:
-                raise ParseError("unterminated block", line=line, column=i + 2)
+        while True:
+            if body[i] != "{":
+                raise ParseError(f"unexpected character {body[i]!r}", line=line, column=i + 2)
+            stop = body.find("}", i)  # found: body ends with "}"
             entries = body[i + 1 : stop].split(",")
             block = []
             for e in entries:
@@ -232,8 +227,13 @@ class Partition:
                 block.append(int(e) - 1)
             blocks.append(block)
             i = stop + 1
-        if not blocks:
-            raise ParseError("empty partition", line=line, column=1)
+            if i == len(body):
+                break
+            if body[i] != ",":
+                raise ParseError(
+                    f"expected ',' between blocks, got {body[i]!r}", line=line, column=i + 2
+                )
+            i += 1
         try:
             return cls(blocks)
         except ValueError as exc:

@@ -1,17 +1,20 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import kernelgraphs
+from kernelgraphs import census
 from kernelgraphs.cli import main
 from kernelgraphs.designs import OrthogonalArray, cyclic_square, mols_complete, oa_from_mols
 from kernelgraphs.graphs import (
     complete,
     cycle,
     from_graph6,
+    generate_all,
     hamming,
     path,
     square_lattice,
@@ -257,6 +260,35 @@ def test_budget_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "--time-limit", "0.05", "census", "6", "--out", str(tmp_path))
     assert code == 2
     assert "time" in err
+
+
+def test_parallel_census_stops_at_time_limit_and_resumes(tmp_path, capsys, monkeypatch):
+    graphs = list(generate_all(7))  # generated once for the three runs below
+    monkeypatch.setattr(census, "generate_all", lambda n: iter(graphs))
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert run(capsys, "census", "7", "--out", str(one))[0] == 0
+
+    compute_rows = census._compute_rows
+
+    def alarm_after_100_rows(batch, workers):
+        rows = compute_rows(batch, workers)
+        for _ in range(100):
+            yield next(rows)
+        signal.setitimer(signal.ITIMER_REAL, 0.05)  # bring the --time-limit alarm forward
+        yield from rows
+
+    with monkeypatch.context() as m:
+        m.setattr(census, "_compute_rows", alarm_after_100_rows)
+        code, _, err = run(
+            capsys, "--time-limit", "600", "census", "7", "--threads", "2", "--out", str(two)
+        )
+    assert code == 2
+    assert "time" in err
+    kept = (two / "hulls_n7.jsonl").read_text().count("\n") - 1
+    assert 100 <= kept < len(graphs)
+    assert run(capsys, "census", "7", "--threads", "2", "--out", str(two))[0] == 0
+    for f in sorted(one.iterdir()):
+        assert (two / f.name).read_bytes() == f.read_bytes(), f.name
 
 
 def test_aut_honours_node_budget(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kernelgraphs import kernelgraph
 from kernelgraphs.graphs import (
     Graph,
     chromatic_number,
@@ -25,7 +26,12 @@ from kernelgraphs.kernelgraph import (
     iterated_hull,
     kernel_graph,
 )
-from kernelgraphs.semigroup import close, endomorphisms_iter, min_rank_of_generators
+from kernelgraphs.semigroup import (
+    close,
+    collapsible,
+    endomorphisms_iter,
+    min_rank_of_generators,
+)
 from kernelgraphs.transform import Transformation
 
 T = Transformation.parse
@@ -159,6 +165,25 @@ def test_is_hull_examples():
     assert not is_hull(cycle(5))
     assert not is_hull(path(4))
     assert not is_hull(cycle(6))
+
+
+def test_is_hull_stops_at_the_first_uncollapsible_pair(monkeypatch):
+    calls = []
+
+    def counted(g, u, v, **kwargs):
+        calls.append((u, v))
+        return collapsible(g, u, v, **kwargs)
+
+    monkeypatch.setattr(kernelgraph, "collapsible", counted)
+    # an odd cycle is a core: its first non-edge (1,3) already decides
+    assert not is_hull(cycle(5))
+    assert calls == [(0, 2)]
+
+
+def test_is_hull_agrees_with_hull_small():
+    for n in range(1, 7):
+        for g in generate_all(n):
+            assert is_hull(g) == (hull(g) == g)
 
 
 def test_is_hull_strongly_regular_families():

@@ -54,6 +54,9 @@ def test_parse_error_column_points_at_the_bad_entry():
         "[2, x]": 5,  # the entry's first non-blank character
         "  [1, 2,y]": 9,
         "[1,  ,2]": 6,
+        "[0,1]": 2,  # image values outside 1..n
+        "[1,5]": 4,
+        "  [1, 9]": 7,
     }
     for text, column in cases.items():
         with pytest.raises(ParseError) as info:
@@ -151,6 +154,12 @@ def test_partition_parse_format():
         Partition.parse("{{1,2},{2,3}}")
     with pytest.raises(ParseError):
         Partition.parse("{1,2}")
+    for text, column in {"{{1,2}{3}}": 7, "{{1},,{2}}": 6, "{{1},x{2}}": 6}.items():
+        with pytest.raises(ParseError) as info:
+            Partition.parse(text)
+        assert info.value.column == column, text
+    with pytest.raises(ParseError, match=r"cover 1\.\.3 \(missing \[3\]\)"):
+        Partition.parse("{{1,2},{4}}")
 
 
 def test_refines_worked_example():
