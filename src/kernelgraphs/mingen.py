@@ -8,11 +8,14 @@ end. Every constructor re-derives the kernel graph of what it built and
 refuses to return a set that misses the target.
 
 A partition merges a subset of another's pairs exactly when it refines it,
-and both admissibility tests are closed under refinement: sub-blocks of an
-independent block are independent, and if P' refines P then a homomorphism
-G/P -> G composes with G/P' -> G/P. So the exact search keeps only partitions
-whose merged pairs are inclusion-maximal, and tests a partition only when no
-accepted partition coarsens it; a minimum cover never needs the others.
+so a minimum cover needs only partitions whose merged pairs are maximal.
+Among partitions into independent blocks those are the complete colourings,
+where every two blocks are joined: unjoined blocks could merge, and anything
+coarser merges two blocks. A hull has chi = omega (Cameron and Kazanidis,
+Cores of symmetric graphs, 2008), and an endomorphism followed by an
+omega-colouring sent onto a maximum clique has a coarser kernel with omega
+classes; so the maximal endomorphism kernels are the omega-colourings, each
+complete with quotient K_omega, and the endomorphic walk opens <= omega blocks.
 
 Pair sets on n vertices are integers with pair u < v as bit u*n + v, so bits
 run in lexicographic pair order. The partition walk places vertices in order
@@ -36,12 +39,13 @@ from .graphs import (
     categorical_power,
     clique_number,
     complement,
+    complete,
     hamming,
     square_lattice,
     union_complete,
 )
-from .kernelgraph import kernel_graph
-from .semigroup import _quotient, exists_homomorphism, homomorphisms_iter
+from .kernelgraph import _uncollapsible_nonedges, kernel_graph
+from .semigroup import homomorphisms_iter
 from .transform import Partition, Transformation
 
 
@@ -73,40 +77,38 @@ def _check_regenerates(g: Graph, maps) -> None:
 _EXHAUSTIVE_LIMIT = 10
 
 
-def _admissible_partitions(g: Graph):
-    """All partitions of the vertices into independent blocks.
+def _complete_colourings(g: Graph, most: int):
+    """Partitions into at most ``most`` independent blocks, each two joined.
 
-    Yields ``(blocks, block_of, mask)``: the blocks as vertex masks, the block
-    index of each vertex, and the merged pairs with pair u < v as bit
-    u*n + v. The two lists are live and change after the next item.
+    Yields ``(block_of, mask)``: the block index of each vertex, and the
+    merged pairs with pair u < v as bit u*n + v. ``block_of`` is live and
+    changes after the next item.
     """
     adj = g.adj
     n = g.n
-    blocks: list[int] = []
-    spread: list[int] = []  # per block, the OR of 1 << u*n over its vertices u
+    # per block: its vertices, the OR of 1 << u*n over them, and the OR of
+    # their neighbourhoods, all as bitmasks
+    state: list[tuple[int, int, int]] = []
     block_of = [0] * n
 
     def place(v: int, mask: int):
         if v == n:
-            yield blocks, block_of, mask
+            if all(r & b for k, (_, _, r) in enumerate(state) for b, _, _ in state[:k]):
+                yield block_of, mask
             return
         bit = 1 << v
         a = adj[v]
-        for i, b in enumerate(blocks):
+        for i, (b, s, r) in enumerate(state):
             if not b & a:
-                s = spread[i]
-                blocks[i] = b | bit
-                spread[i] = s | 1 << v * n
+                state[i] = (b | bit, s | 1 << v * n, r | a)
                 block_of[v] = i
                 yield from place(v + 1, mask | s << v)
-                blocks[i] = b
-                spread[i] = s
-        block_of[v] = len(blocks)
-        blocks.append(bit)
-        spread.append(1 << v * n)
-        yield from place(v + 1, mask)
-        blocks.pop()
-        spread.pop()
+                state[i] = (b, s, r)
+        if len(state) < most:
+            block_of[v] = len(state)
+            state.append((bit, 1 << v * n, a))
+            yield from place(v + 1, mask)
+            state.pop()
 
     yield from place(0, 0)
 
@@ -168,30 +170,22 @@ def minimal_generating_set(
             f"exhaustive search handles at most {_EXHAUSTIVE_LIMIT} vertices; "
             "use a family constructor for larger graphs"
         )
-    cands: list[tuple[tuple[int, ...], int]] = []
-    for blocks, block_of, mask in _admissible_partitions(g):
-        # refines an accepted partition, which serves any cover at least as well
-        if any(mask | other == other for _, other in cands):
-            continue
-        if within_endomorphisms and not exists_homomorphism(
-            _quotient(g, block_of, len(blocks)), g, node_budget=node_budget
-        ):
-            continue
-        cands = [c for c in cands if c[1] | mask != mask]
-        cands.append((tuple(block_of), mask))
+    most = clique_number(g) if within_endomorphisms else n
+    cands = [(tuple(block_of), mask) for block_of, mask in _complete_colourings(g, most)]
     cands.sort(key=lambda c: -c[1].bit_count())
     if within_endomorphisms:
         union = 0
         for _, mask in cands:
             union |= mask
         if union != full:
-            pairs = ", ".join(f"({b // n + 1},{b % n + 1})" for b in _bits(full & ~union))
-            raise NotAHullError(f"no endomorphism merges the pair(s) {pairs}")
+            pairs = _uncollapsible_nonedges(g, node_budget)
+            listed = ", ".join(f"({u + 1},{v + 1})" for u, v in pairs)
+            raise NotAHullError(f"no endomorphism merges the pair(s) {listed}")
     chosen = _min_cover([mask for _, mask in cands], full, node_budget=node_budget)
     if within_endomorphisms:
-        maps = tuple(
-            _endomorphism_with_kernel(g, cands[i][0], node_budget=node_budget) for i in chosen
-        )
+        # every chosen colouring has quotient K_omega: send its blocks onto one clique
+        clique = next(homomorphisms_iter(complete(most), g, node_budget=node_budget))
+        maps = tuple(Transformation([clique[b] for b in cands[i][0]]) for i in chosen)
         method = "exhaustive-endomorphic"
     else:
         # each vertex to the least vertex of its block, the one that opened it
@@ -201,14 +195,6 @@ def minimal_generating_set(
         method = "exhaustive"
     _check_regenerates(g, maps)
     return GeneratingSet(maps, True, len(chosen), method)
-
-
-def _endomorphism_with_kernel(
-    g: Graph, block_of, *, node_budget: int | None = None
-) -> Transformation:
-    quotient = _quotient(g, block_of, max(block_of) + 1)
-    images = next(homomorphisms_iter(quotient, g, node_budget=node_budget))
-    return Transformation([images[block_of[v]] for v in range(g.n)])
 
 
 def _counting_lower_bound(n_vertices: int, nonedge_count: int, alpha: int) -> int:
@@ -246,7 +232,9 @@ def matching_generators(copies: int) -> GeneratingSet:
         maps.append(Transformation(images))
     _check_regenerates(g, tuple(maps))
     try:
-        lb = matching_minimum_size(copies, node_budget=2_000_000)
+        # about 5x the largest refutation that finishes (20,721 nodes at 5-8
+        # edges); the one at 9 edges has never finished, even at 2,000,000
+        lb = matching_minimum_size(copies, node_budget=100_000)
     except BudgetExceededError:
         # bounds carry upward: a cover of these edges also covers any
         # 2^(r-2)+1 of them, so their minimum is a lower bound here

@@ -212,26 +212,29 @@ class Partition:
         if not (s.startswith("{{") and s.endswith("}}")):
             raise ParseError(f"expected double-braced block list, got {text!r}", line=line, column=1)
         body = s[1:-1]
+        col = len(text) - len(text.lstrip()) + 2  # column of body[0]
         blocks: list[list[int]] = []
         i = 0
         while True:
             if body[i] != "{":
-                raise ParseError(f"unexpected character {body[i]!r}", line=line, column=i + 2)
+                raise ParseError(f"unexpected character {body[i]!r}", line=line, column=col + i)
             stop = body.find("}", i)  # found: body ends with "}"
-            entries = body[i + 1 : stop].split(",")
             block = []
-            for e in entries:
-                e = e.strip()
-                if not e.isdigit():
-                    raise ParseError(f"bad block entry {e!r}", line=line, column=i + 2)
-                block.append(int(e) - 1)
+            start = i + 1  # index in body of the entry
+            for part in body[start:stop].split(","):
+                if not part.strip().isdigit():
+                    # the entry's first non-blank character, or the delimiter ending it
+                    at = col + start + len(part) - len(part.lstrip())
+                    raise ParseError(f"bad block entry {part.strip()!r}", line=line, column=at)
+                block.append(int(part) - 1)
+                start += len(part) + 1
             blocks.append(block)
             i = stop + 1
             if i == len(body):
                 break
             if body[i] != ",":
                 raise ParseError(
-                    f"expected ',' between blocks, got {body[i]!r}", line=line, column=i + 2
+                    f"expected ',' between blocks, got {body[i]!r}", line=line, column=col + i
                 )
             i += 1
         try:

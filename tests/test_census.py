@@ -98,6 +98,15 @@ def test_census_n6_matches_published(tmp_path):
     assert summary.warnings == ()
 
 
+@pytest.mark.slow
+def test_census_n8_totals(tmp_path):
+    # computed by this code, not published values
+    summary = run_census(8, tmp_path, workers=2)
+    assert summary.graphs == 12346
+    assert summary.hulls == 4783
+    assert summary.size_distribution == {1: 22, 2: 275, 3: 2656, 4: 1654, 5: 160, 6: 15, 7: 1}
+
+
 def test_census_size_one_count_is_partition_number(tmp_path):
     # hulls generated by a single member are exactly the complete
     # multipartite graphs, one per integer partition of n

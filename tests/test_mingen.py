@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from kernelgraphs import mingen
+from kernelgraphs import mingen, semigroup
 from kernelgraphs.errors import (
     BudgetExceededError,
     KernelGraphsError,
@@ -24,7 +24,7 @@ from kernelgraphs.graphs import (
     square_lattice,
     union_complete,
 )
-from kernelgraphs.kernelgraph import kernel_graph
+from kernelgraphs.kernelgraph import hull, kernel_graph
 from kernelgraphs.mingen import (
     GeneratingSet,
     _matching_refuted,
@@ -184,6 +184,37 @@ def test_endomorphic_needs_a_hull():
         minimal_generating_set(cycle(5), within_endomorphisms=True)
 
 
+def test_endomorphic_error_names_the_pairs_the_hull_adds():
+    # C5 with a pendant vertex has chi 3 > omega 2, so it has no omega-colouring,
+    # yet the pendant vertex still collapses onto a neighbour of its anchor
+    c5_pendant = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
+    graphs = [g for n in range(1, 7) for g in generate_all(n)] + [c5_pendant]
+    for g in graphs:
+        added = [(u, v) for u, v in hull(g).edges() if not g.has_edge(u, v)]
+        if not added:
+            continue
+        pairs = ", ".join(f"({u + 1},{v + 1})" for u, v in added)
+        with pytest.raises(NotAHullError) as info:
+            minimal_generating_set(g, within_endomorphisms=True)
+        assert str(info.value) == f"no endomorphism merges the pair(s) {pairs}", g
+    assert 0 < len(added) < 9  # some, not all, of C5-with-pendant's 9 non-edges
+
+
+def test_endomorphic_search_tests_no_homomorphisms(monkeypatch):
+    calls = []
+    real = semigroup.exists_homomorphism
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "exists_homomorphism", counted)
+    monkeypatch.setattr(mingen, "exists_homomorphism", counted, raising=False)
+    gs = minimal_generating_set(union_complete([2] * 5), within_endomorphisms=True)
+    assert gs.size == 4 and gs.minimal
+    assert calls == []
+
+
 def test_endomorphic_small_hulls():
     for g, want in [
         (cycle(4), 1),
@@ -300,6 +331,12 @@ def test_matching_bound_carries_upward_when_refutation_runs_out(monkeypatch):
     # 5 edges need 4 members, and dropping edges keeps a cover working
     assert gs.lower_bound == 4 and gs.minimal is False
     assert gs.size == 5
+
+
+def test_matching_nine_keeps_the_carried_bound():
+    # the refutation at 9 edges runs out of budget; 5 edges need 4 members
+    gs = matching_generators(9)
+    assert gs.size == 5 and gs.lower_bound == 4 and gs.minimal is False
 
 
 def test_node_budget_caps_cover_search():

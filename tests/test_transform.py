@@ -154,7 +154,17 @@ def test_partition_parse_format():
         Partition.parse("{{1,2},{2,3}}")
     with pytest.raises(ParseError):
         Partition.parse("{1,2}")
-    for text, column in {"{{1,2}{3}}": 7, "{{1},,{2}}": 6, "{{1},x{2}}": 6}.items():
+    cases = {
+        "{{1,2}{3}}": 7,
+        "{{1},,{2}}": 6,
+        "{{1},x{2}}": 6,
+        "  {{1,2}{3}}": 9,
+        "{{1, 2,y}}": 8,  # the entry's first non-blank character
+        "  {{1},{2,z}}": 11,
+        "{{1},{}}": 7,  # the delimiter ending the empty entry
+        "{{1,,2}}": 5,
+    }
+    for text, column in cases.items():
         with pytest.raises(ParseError) as info:
             Partition.parse(text)
         assert info.value.column == column, text
