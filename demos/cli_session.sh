@@ -13,6 +13,7 @@ kernelgraphs kernel-graph "$work/maps.txt" --closed
 echo '# hulls'
 kernelgraphs hull 'DqK'          # P5
 kernelgraphs hull 'D~{'          # K5 is its own hull
+kernelgraphs hull 'XheAHCPBGG?P?P?G_BG?O?@C?AG?AG?@e??OO?AH??Ga??PA??X'  # C5 box C5
 kernelgraphs derived 'DqK'
 
 echo '# automorphisms and endomorphisms'

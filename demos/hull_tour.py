@@ -1,7 +1,8 @@
 """Hulls of the standard families, ending with the product-graph surprise.
 
-The last section recomputes the hull of C5 box C5 from scratch, which takes
-several seconds on one core.
+The last section recomputes the hull of C5 box C5 from scratch: of its 250
+non-edges, three are searched, and the endomorphisms found and the graph's
+automorphisms settle the rest.
 """
 
 import time
@@ -44,7 +45,7 @@ print("\nC5 box C5:")
 product = cartesian_product(cycle(5), cycle(5))
 start = time.perf_counter()
 h = hull(product)
-print(f"  hull computed in {time.perf_counter() - start:.1f}s")
+print(f"  hull computed in {time.perf_counter() - start:.3f}s")
 print(f"  equal to the product itself: {h == product}")
 
 rook_complement = complement(hamming(2, 5))

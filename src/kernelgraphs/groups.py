@@ -254,27 +254,27 @@ class PermGroup:
                     queue.append(q)
         return len(orbit) == self.degree
 
-    def orbit_count_on_pairs(self) -> int:
+    def pair_orbits(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each pair (u, v), u < v, mapped to the least pair of its orbit."""
         n = self.degree
-        seen: set[tuple[int, int]] = set()
-        count = 0
+        label: dict[tuple[int, int], tuple[int, int]] = {}
         for u in range(n):
             for v in range(u + 1, n):
-                if (u, v) in seen:
+                if (u, v) in label:
                     continue
-                count += 1
-                orbit = {(u, v)}
-                queue = deque([(u, v)])
-                while queue:
-                    a, b = queue.popleft()
+                label[(u, v)] = (u, v)
+                queue = [(u, v)]
+                for a, b in queue:  # grows while it is read: a breadth-first walk
                     for g in self.generators:
                         qa, qb = g[a], g[b]
                         pair = (qa, qb) if qa < qb else (qb, qa)
-                        if pair not in orbit:
-                            orbit.add(pair)
+                        if pair not in label:
+                            label[pair] = (u, v)
                             queue.append(pair)
-                seen |= orbit
-        return count
+        return label
+
+    def orbit_count_on_pairs(self) -> int:
+        return len(set(self.pair_orbits().values()))
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} generators={len(self.generators)}>"

@@ -7,14 +7,17 @@ endomorphism monoid is called a hull.
 
 from __future__ import annotations
 
-from .graphs import Graph, clique_number, complete
+import itertools
+
+from .errors import _Budget
+from .graphs import Graph, _ir_search, clique_number, complete
+from .groups import PermGroup
 from .semigroup import (
-    _pair_collapse_table,
     _check_generators,
-    collapsible,
+    _merging_endomorphism,
+    _pair_collapse_table,
     min_rank_of_generators,
 )
-from .transform import Partition, Transformation
 
 __all__ = [
     "KernelGraphResult",
@@ -93,11 +96,47 @@ def closure_kernel_graph(generators) -> KernelGraphResult:
     return KernelGraphResult(Graph(n, edges), min_rank_of_generators(gens), None)
 
 
+def _merged_pairs(images):
+    """Pairs (u, v), u < v, that the map with these images sends to one point."""
+    classes: dict[int, list[int]] = {}
+    for x, y in enumerate(images):
+        classes.setdefault(y, []).append(x)
+    for members in classes.values():
+        yield from itertools.combinations(members, 2)
+
+
 def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
-    """Non-adjacent pairs (u, v), u < v, that no endomorphism of g merges."""
+    """Non-adjacent pairs (u, v), u < v, that no endomorphism of g merges, ascending.
+
+    One search settles more than its own pair. Every pair that the
+    endomorphism it finds merges is collapsible, and each verdict holds on
+    the pair's whole orbit under Aut(G): if f merges u and v and s is an
+    automorphism, x -> f(s^-1(x)) merges s(u) and s(v). The automorphism
+    search runs only once a second pair search is needed, so a graph that
+    one map settles pays for no group. ``node_budget`` caps each search on
+    its own.
+    """
+    orbit: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> least pair of its orbit
+    verdict: dict[tuple[int, int], bool] = {}  # orbit label -> collapsible
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and not collapsible(g, u, v, node_budget=node_budget):
+            if g.adj[u] >> v & 1:
+                continue
+            label = orbit.get((u, v), (u, v))
+            if label not in verdict and verdict and not orbit:
+                # a second search is due: from now on verdicts spread over orbits
+                generators = _ir_search(g, _Budget(node_budget, "automorphism search"))[1]
+                orbit = PermGroup(g.n, generators).pair_orbits()
+                verdict = {orbit[p]: merged for p, merged in verdict.items()}
+                label = orbit[(u, v)]
+            if label not in verdict:
+                images = _merging_endomorphism(g, u, v, node_budget)
+                if images is None:
+                    verdict[label] = False
+                else:
+                    for p in _merged_pairs(images):
+                        verdict[orbit.get(p, p)] = True
+            if not verdict[label]:
                 yield u, v
 
 
@@ -106,6 +145,9 @@ def hull(g: Graph, *, node_budget: int | None = None) -> Graph:
 
     Two vertices are adjacent in the hull exactly when no endomorphism of g
     merges them. The input is always a spanning subgraph of its hull.
+    ``node_budget`` caps every search of the call, each on its own: the
+    search for an endomorphism merging a pair, and the automorphism search
+    that spreads each verdict over the pair's orbit.
     """
     return Graph(g.n, [*g.edges(), *_uncollapsible_nonedges(g, node_budget)])
 

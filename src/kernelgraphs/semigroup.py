@@ -314,12 +314,26 @@ def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -
     return total
 
 
+def _first_map(g: Graph, h: Graph, budget: _Budget) -> list[int] | None:
+    """A homomorphism g -> h as an image list over g's vertices, or None.
+
+    Searches each component of g on its own and joins the first map of each,
+    so a component that has no map fails without backtracking through the
+    others.
+    """
+    images = [0] * g.n
+    for comp in g.components():
+        order = _bfs_order(g, comp)
+        found = next(_maps(g, h, order, budget), None)
+        if found is None:
+            return None
+        for w in order:
+            images[w] = found[w]
+    return images
+
+
 def exists_homomorphism(g: Graph, h: Graph, *, node_budget: int | None = None) -> bool:
-    budget = _Budget(node_budget, "homomorphism search")
-    return all(
-        next(_maps(g, h, _bfs_order(g, comp), budget), None) is not None
-        for comp in g.components()
-    )
+    return _first_map(g, h, _Budget(node_budget, "homomorphism search")) is not None
 
 
 def homomorphisms_iter(g: Graph, h: Graph, *, node_budget: int | None = None):
@@ -372,16 +386,26 @@ def quotient_by_pair(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
     return _quotient(g, mapping, g.n - 1), tuple(mapping)
 
 
+def _merging_endomorphism(
+    g: Graph, u: int, v: int, node_budget: int | None
+) -> tuple[int, ...] | None:
+    """An endomorphism of g that maps non-adjacent u and v together, or None.
+
+    Such an endomorphism is a homomorphism from the quotient that merges u and
+    v back into g; the first one ``_first_map`` finds is returned as an image
+    tuple over g's vertices.
+    """
+    quotient, mapping = quotient_by_pair(g, u, v)
+    images = _first_map(quotient, g, _Budget(node_budget, "homomorphism search"))
+    return None if images is None else tuple(images[w] for w in mapping)
+
+
 def collapsible(g: Graph, u: int, v: int, *, node_budget: int | None = None) -> bool:
     """True when some endomorphism of g maps u and v to the same vertex.
 
-    Such an endomorphism is exactly a homomorphism from the quotient that
-    merges u and v back into g; adjacent pairs are never collapsible.
+    Adjacent pairs are never collapsible.
     """
-    if g.has_edge(u, v):
-        return False
-    quotient, _ = quotient_by_pair(g, u, v)
-    return exists_homomorphism(quotient, g, node_budget=node_budget)
+    return not g.has_edge(u, v) and _merging_endomorphism(g, u, v, node_budget) is not None
 
 
 # ------------------------------------------------------------ ideal structure

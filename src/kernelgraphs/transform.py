@@ -209,10 +209,15 @@ class Partition:
     def parse(cls, text: str, *, line: int | None = None) -> "Partition":
         """Parse the 1-based block format ``{{1,2,4},{3}}``."""
         s = text.strip()
+        lead = len(text) - len(text.lstrip())
         if not (s.startswith("{{") and s.endswith("}}")):
-            raise ParseError(f"expected double-braced block list, got {text!r}", line=line, column=1)
+            # the first of the four delimiters that is missing
+            at = next((i for i in range(2) if s[i : i + 1] != "{"), len(s) - 1)
+            raise ParseError(
+                f"expected double-braced block list, got {text!r}", line=line, column=lead + at + 1
+            )
         body = s[1:-1]
-        col = len(text) - len(text.lstrip()) + 2  # column of body[0]
+        col = lead + 2  # column of body[0]
         blocks: list[list[int]] = []
         i = 0
         while True:

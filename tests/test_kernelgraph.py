@@ -3,15 +3,19 @@ import random
 import pytest
 
 from kernelgraphs import kernelgraph
+from kernelgraphs.errors import BudgetExceededError
 from kernelgraphs.graphs import (
     Graph,
+    cartesian_product,
     chromatic_number,
     clique_number,
+    complement,
     complete,
     complete_multipartite,
     cycle,
     disjoint_union,
     generate_all,
+    hamming,
     paley,
     path,
     square_lattice,
@@ -167,17 +171,82 @@ def test_is_hull_examples():
     assert not is_hull(cycle(6))
 
 
-def test_is_hull_stops_at_the_first_uncollapsible_pair(monkeypatch):
+def counted_searches(monkeypatch) -> list[tuple[int, int]]:
+    """Record the pair of every endomorphism search the hull loop makes."""
     calls = []
+    real = kernelgraph._merging_endomorphism
 
-    def counted(g, u, v, **kwargs):
+    def counted(g, u, v, *args, **kwargs):
         calls.append((u, v))
-        return collapsible(g, u, v, **kwargs)
+        return real(g, u, v, *args, **kwargs)
 
-    monkeypatch.setattr(kernelgraph, "collapsible", counted)
+    monkeypatch.setattr(kernelgraph, "_merging_endomorphism", counted)
+    return calls
+
+
+def test_is_hull_stops_at_the_first_uncollapsible_pair(monkeypatch):
+    calls = counted_searches(monkeypatch)
     # an odd cycle is a core: its first non-edge (1,3) already decides
     assert not is_hull(cycle(5))
     assert calls == [(0, 2)]
+
+
+def hull_by_pairs(g: Graph) -> Graph:
+    """The hull from one collapsible test per non-edge, nothing shared."""
+    added = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if not g.has_edge(u, v) and not collapsible(g, u, v)
+    ]
+    return Graph(g.n, [*g.edges(), *added])
+
+
+def isolated_plus_c5(isolated: int) -> Graph:
+    return Graph(isolated + 5, [(isolated + i, isolated + (i + 1) % 5) for i in range(5)])
+
+
+def test_hull_equals_one_collapsible_test_per_nonedge():
+    graphs = [g for n in range(1, 7) for g in generate_all(n)]
+    graphs += [
+        cartesian_product(cycle(5), path(3)),
+        complement(triangular(5)),  # Petersen
+        paley(13),
+        hamming(4, 2),  # Q4
+        disjoint_union(cycle(5), 3),
+        isolated_plus_c5(8),
+    ]
+    for g in graphs:
+        assert hull(g) == hull_by_pairs(g), g
+
+
+def test_harvesting_and_orbits_leave_few_searches(monkeypatch):
+    calls = counted_searches(monkeypatch)
+    c5c5 = cartesian_product(cycle(5), cycle(5))
+    # (i, j) -> (i + j, i - j) mod 5 carries the hull onto the rook complement
+    tau = [5 * ((v // 5 + v % 5) % 5) + ((v // 5 - v % 5) % 5) for v in range(25)]
+    assert hull(c5c5).relabel(tau) == complement(square_lattice(5))
+    assert len(calls) <= 4  # of 250 non-edges
+    calls.clear()
+    # the first map sends every vertex to 0 and settles all 1,770 pairs
+    assert hull(Graph(60, [])) == Graph(60, [])
+    assert calls == [(0, 1)]
+
+
+def test_each_component_is_searched_on_its_own():
+    # one search order over all components backtracks through the isolated
+    # vertices each time the 5-cycle fails, and would not finish this budget
+    g = isolated_plus_c5(8)
+    assert hull(g, node_budget=10_000) == union_complete([1] * 8 + [5])
+
+
+def test_node_budget_caps_the_automorphism_search():
+    # the first pair search takes 24 nodes and leaves pairs unsettled; the
+    # automorphism search that follows needs 55, every pair search at most 52
+    g = isolated_plus_c5(8)
+    with pytest.raises(BudgetExceededError, match="automorphism search"):
+        hull(g, node_budget=40)
+    assert hull(g, node_budget=55) == union_complete([1] * 8 + [5])
 
 
 def test_is_hull_agrees_with_hull_small():

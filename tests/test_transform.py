@@ -163,6 +163,9 @@ def test_partition_parse_format():
         "  {{1},{2,z}}": 11,
         "{{1},{}}": 7,  # the delimiter ending the empty entry
         "{{1,,2}}": 5,
+        "  {{1,2}": 8,  # the closing braces are checked at the end of the text
+        "  {1,2}}": 4,  # the second opening brace
+        "  1,2}}": 3,
     }
     for text, column in cases.items():
         with pytest.raises(ParseError) as info:
