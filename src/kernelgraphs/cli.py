@@ -383,16 +383,27 @@ def _reject_unread_budgets(args) -> None:
             raise ValueError(f"{command} does not read --{dest.replace('_', '-')}")
 
 
+def _arm_time_limit(seconds: float) -> None:
+    """Raise BudgetExceededError from the SIGALRM handler after ``seconds``."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"--time-limit must be a positive finite number of seconds, not {seconds}")
+
+    def on_alarm(signum, frame):
+        raise BudgetExceededError("time", seconds, "wall clock limit hit")
+
+    signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+    except (OverflowError, OSError) as exc:
+        raise ValueError(f"--time-limit {seconds} is refused by the platform timer: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.time_limit is not None:
-
-        def on_alarm(signum, frame):
-            raise BudgetExceededError("time", args.time_limit, "wall clock limit hit")
-
-        signal.signal(signal.SIGALRM, on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, args.time_limit)
     try:
+        # armed inside the try, so an alarm that fires at once still exits 2
+        if args.time_limit is not None:
+            _arm_time_limit(args.time_limit)
         _reject_unread_budgets(args)
         return args.func(args)
     except BudgetExceededError as exc:

@@ -6,12 +6,13 @@ like transformations.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from collections import deque
+from collections import Counter, deque
 
 from .errors import BudgetExceededError, _Budget
-from .graphs import Graph, _ir_search
+from .graphs import Graph, _ir_search, _orbit
 
 __all__ = [
     "PermGroup",
@@ -189,14 +190,6 @@ class PermGroup:
             for b in gens[i + 1 :]
         )
 
-    def center_order(self, limit: int = DEFAULT_ELEMENT_CAP) -> int:
-        gens = self.generators
-        return sum(
-            1
-            for t in self.elements(limit)
-            if all(_mul(t, g) == _mul(g, t) for g in gens)
-        )
-
     def derived_subgroup_order(self) -> int:
         identity = tuple(range(self.degree))
         gens = self.generators
@@ -220,39 +213,28 @@ class PermGroup:
             return 1
         return PermGroup(self.degree, commutators).order()
 
-    def element_order_counts(self, limit: int = DEFAULT_ELEMENT_CAP) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for t in self.elements(limit):
-            k = _perm_order(t)
-            counts[k] = counts.get(k, 0) + 1
-        return counts
+    def fingerprint(self) -> tuple:
+        """Abstract-isomorphism invariants used for catalog lookup.
 
-    def fingerprint(self, limit: int = DEFAULT_ELEMENT_CAP) -> tuple:
-        """Abstract-isomorphism invariants used for catalog lookup."""
-        orders = tuple(sorted(self.element_order_counts(limit).items()))
+        One enumeration gives the order, the element-order counts and the
+        centre: the elements that commute with every generator.
+        """
+        elements = self.elements()
+        gens = self.generators
+        orders = Counter(map(_perm_order, elements))
+        center = sum(all(_mul(t, g) == _mul(g, t) for g in gens) for t in elements)
         return (
-            self.order(),
-            orders,
+            len(elements),
+            tuple(sorted(orders.items())),
             self.is_abelian(),
-            self.center_order(limit),
+            center,
             self.derived_subgroup_order(),
         )
 
     # ---------------------------------------------------------------- actions
 
     def is_transitive(self) -> bool:
-        if self.degree <= 1:
-            return True
-        orbit = {0}
-        queue = deque([0])
-        while queue:
-            p = queue.popleft()
-            for g in self.generators:
-                q = g[p]
-                if q not in orbit:
-                    orbit.add(q)
-                    queue.append(q)
-        return len(orbit) == self.degree
+        return self.degree <= 1 or _orbit([0], self.generators) == (1 << self.degree) - 1
 
     def pair_orbits(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Each pair (u, v), u < v, mapped to the least pair of its orbit."""
@@ -358,21 +340,19 @@ def _catalog_specs() -> list[tuple[str, int, list, int]]:
     ]
 
 
-_CATALOG: dict[tuple, str] | None = None
-
-
-def _catalog() -> dict[tuple, str]:
-    global _CATALOG
-    if _CATALOG is None:
-        table: dict[tuple, str] = {}
-        for name, degree, gens, expected_order in _catalog_specs():
-            group = PermGroup(degree, gens)
-            assert group.order() == expected_order, (name, group.order())
-            fp = group.fingerprint()
-            assert fp not in table, (name, table[fp])
-            table[fp] = name
-        _CATALOG = table
-    return _CATALOG
+@functools.cache
+def _catalog(order: int) -> dict[tuple, str]:
+    """Fingerprint -> name for the catalog groups of one order, built on first use."""
+    table: dict[tuple, str] = {}
+    for name, degree, gens, expected_order in _catalog_specs():
+        if expected_order != order:
+            continue
+        group = PermGroup(degree, gens)
+        assert group.order() == expected_order, (name, group.order())
+        fp = group.fingerprint()
+        assert fp not in table, (name, table[fp])
+        table[fp] = name
+    return table
 
 
 def group_name(group: PermGroup) -> str:
@@ -383,7 +363,7 @@ def group_name(group: PermGroup) -> str:
         # instead of catching its error lets a wall-clock alarm through
         return f"G{order}"
     fp = group.fingerprint()
-    known = _catalog().get(fp)
+    known = _catalog(order).get(fp)
     if known is not None:
         return known
     digest = hashlib.sha1(repr(fp).encode("ascii")).hexdigest()[:6]

@@ -60,22 +60,17 @@ def kernel_graph(members, n: int | None = None) -> KernelGraphResult:
             raise ValueError(f"members act on different point counts: {t.n} vs {size}")
     if n is not None and n != size:
         raise ValueError(f"n={n} disagrees with members on {size} points")
-    blocked = set()
+    # start complete, then drop every pair that some member maps to one point
+    adj = [((1 << size) - 1) ^ (1 << v) for v in range(size)]
     for t in members:
-        images = t.images
-        for u in range(size):
-            for v in range(u + 1, size):
-                if images[u] == images[v]:
-                    blocked.add((u, v))
-    edges = [
-        (u, v)
-        for u in range(size)
-        for v in range(u + 1, size)
-        if (u, v) not in blocked
-    ]
+        preimage = [0] * size
+        for v, x in enumerate(t.images):
+            preimage[x] |= 1 << v
+        for v, x in enumerate(t.images):
+            adj[v] &= ~preimage[x]
     min_rank = min(t.rank for t in members)
     kernels = tuple(sorted({t.kernel() for t in members if t.rank == min_rank}, key=lambda p: p.blocks))
-    return KernelGraphResult(Graph(size, edges), min_rank, kernels)
+    return KernelGraphResult(Graph.from_adj(adj), min_rank, kernels)
 
 
 def closure_kernel_graph(generators) -> KernelGraphResult:

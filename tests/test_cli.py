@@ -262,6 +262,21 @@ def test_budget_exit_codes(tmp_path, capsys):
     assert "time" in err
 
 
+def test_unusable_time_limits_are_rejected(tmp_path, capsys):
+    for value in ("0", "-1", "nan", "inf", "-inf", "1e300"):
+        code, out, err = run(capsys, f"--time-limit={value}", "census", "7", "--out", str(tmp_path))
+        assert code == 1, value
+        assert err.startswith("error: --time-limit"), (value, err)
+        assert out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_time_limit_that_fires_at_once_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "--time-limit", "1e-9", "census", "6", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:") and "time" in err
+
+
 def test_parallel_census_stops_at_time_limit_and_resumes(tmp_path, capsys, monkeypatch):
     graphs = list(generate_all(7))  # generated once for the three runs below
     monkeypatch.setattr(census, "generate_all", lambda n: iter(graphs))

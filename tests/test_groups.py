@@ -4,7 +4,13 @@ import random
 import pytest
 
 from kernelgraphs.errors import BudgetExceededError
-from kernelgraphs.groups import PermGroup, _catalog, automorphism_group, group_name
+from kernelgraphs.groups import (
+    PermGroup,
+    _catalog,
+    _catalog_specs,
+    automorphism_group,
+    group_name,
+)
 from kernelgraphs.graphs import (
     complement,
     complete,
@@ -68,11 +74,11 @@ def test_elements_cap():
 def test_abelian_and_center():
     klein = PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)])
     assert klein.is_abelian()
-    assert klein.center_order() == 4
+    assert klein.fingerprint()[3] == 4  # centre order
     assert klein.derived_subgroup_order() == 1
     s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
     assert not s3.is_abelian()
-    assert s3.center_order() == 1
+    assert s3.fingerprint()[3] == 1
     assert s3.derived_subgroup_order() == 3
 
 
@@ -87,7 +93,12 @@ def test_transitivity_and_pair_orbits():
 
 
 def test_catalog_builds_with_distinct_fingerprints():
-    table = _catalog()
+    # each per-order table rejects clashes itself; merging them checks across orders
+    table = {}
+    for order in {spec[3] for spec in _catalog_specs()}:
+        for fp, name in _catalog(order).items():
+            assert fp not in table, (name, table[fp])
+            table[fp] = name
     assert len(table) == 27
     assert sorted(table.values()) == sorted(
         [
@@ -120,6 +131,26 @@ def test_catalog_builds_with_distinct_fingerprints():
             "S7",
         ]
     )
+
+
+def test_group_name_fingerprints_only_the_catalog_entries_of_its_order(monkeypatch):
+    calls = []
+    fingerprint = PermGroup.fingerprint
+
+    def counted(self):
+        calls.append(self)
+        return fingerprint(self)
+
+    monkeypatch.setattr(PermGroup, "fingerprint", counted)
+    _catalog.cache_clear()
+    assert group_name(automorphism_group(complete(1))) == "1"
+    assert len(calls) == 2  # the group and the catalog's one group of order 1
+    _catalog.cache_clear()
+    calls.clear()
+    q4 = automorphism_group(hamming(4, 2))
+    assert q4.order() == 384
+    assert group_name(q4).startswith("G384#")
+    assert len(calls) == 1  # no catalog group has order 384
 
 
 def test_automorphism_groups_of_named_graphs():
