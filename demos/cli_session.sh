@@ -5,10 +5,14 @@ set -e
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 printf '[3,3,4,3]\n[3,3,2,4]\n' > "$work/maps.txt"
+# the Cerny automaton C_20: the 20-cycle and a map merging points 1 and 2
+printf '[2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,1]\n' > "$work/cerny20.txt"
+printf '[2,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20]\n' >> "$work/cerny20.txt"
 
 echo '# kernel graph of a transformation set, then of its closure'
 kernelgraphs kernel-graph "$work/maps.txt"
 kernelgraphs kernel-graph "$work/maps.txt" --closed
+kernelgraphs kernel-graph "$work/cerny20.txt" --closed   # min rank 1 from the pair table
 
 echo '# hulls'
 kernelgraphs hull 'DqK'          # P5

@@ -3,19 +3,20 @@
 Graphs travel as graph6 strings, transformations as 1-based bracket lists
 like ``[2,1,1]`` (one per line, ``#`` comments allowed).  ``--json`` switches
 any subcommand to a single machine-readable JSON object on stdout.  Exit
-codes: 0 success, 1 bad input, 2 exhausted budget or time limit.
+codes: 0 success, 1 bad input or usage, 2 exhausted budget or time limit.
 """
 
 import argparse
 import json as jsonlib
 import math
+import re
 import signal
 import sys
 from pathlib import Path
 
 from .census import hull_preimages, random_sync_trials, run_census
 from .designs import OrthogonalArray, mols_complete, oa_extendible, oa_from_mols, oa_graph
-from .errors import BudgetExceededError, KernelGraphsError
+from .errors import BudgetExceededError, KernelGraphsError, ParseError
 from .graphs import Graph, from_graph6, to_graph6
 from .groups import automorphism_group, group_name
 from .kernelgraph import (
@@ -208,11 +209,19 @@ def _cmd_designs_oa(args) -> int:
 
 def _read_oa(path: str) -> OrthogonalArray:
     rows = []
-    for raw in _read_lines(path):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
             continue
-        rows.append([int(tok) for tok in s.split()])
+        row = []
+        for tok in re.finditer(r"\S+", raw):
+            try:
+                row.append(int(tok.group()))
+            except ValueError:
+                raise ParseError(
+                    f"bad symbol {tok.group()!r}", line=lineno, column=tok.start() + 1
+                ) from None
+        rows.append(row)
     if not rows:
         raise ValueError("no array rows in input")
     n = math.isqrt(len(rows[0]))
@@ -236,6 +245,25 @@ def _cmd_designs_extendible(args) -> int:
     return _emit(args, payload, text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, leaving 2 for exhausted budgets."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    """Value of a budget flag: an integer >= 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def _common_options(*, for_subcommand: bool) -> argparse.ArgumentParser:
     # Subparsers re-apply their own defaults over values the top parser has
     # already set, so the copies attached to subcommands must SUPPRESS theirs.
@@ -255,13 +283,13 @@ def _common_options(*, for_subcommand: bool) -> argparse.ArgumentParser:
     )
     g.add_argument(
         "--closure-cap",
-        type=int,
+        type=_budget,
         default=default(None),
         help="element cap when a closure is materialized",
     )
     g.add_argument(
         "--node-budget",
-        type=int,
+        type=_budget,
         default=default(None),
         help="search node cap for homomorphism, cover and automorphism searches",
     )
@@ -276,7 +304,7 @@ def _common_options(*, for_subcommand: bool) -> argparse.ArgumentParser:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = _common_options(for_subcommand=True)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kernelgraphs",
         description="Kernel graphs of transformation semigroups and their generating sets.",
         epilog=(

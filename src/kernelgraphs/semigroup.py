@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import BudgetExceededError, ClosureCapExceededError, _Budget
+from .errors import ClosureCapExceededError, _Budget
 from .graphs import Graph, _bits
 from .transform import Partition, Transformation
 
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_CAP = 5_000_000
-DEFAULT_IMAGE_STATE_CAP = 1_000_000
 
 
 def _check_generators(generators) -> tuple[Transformation, ...]:
@@ -134,10 +133,10 @@ def transformation_of_word(generators, word) -> Transformation:
 # ----------------------------------------------------------- synchronization
 
 def _pair_collapse_table(gens, n: int):
-    """For each unordered pair, which pairs can eventually be collapsed.
+    """For each unordered pair (u, v), u < v, that some product merges, a first step.
 
-    Returns (collapsible set of (u,v) pairs, step map). step[p] = (gen index,
-    next pair or None) along a shortest path to a collapse.
+    Returns the step map: step[p] = (gen index, next pair or None) along a
+    shortest path to a collapse. Its keys are the collapsible pairs.
     """
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     reverse: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {p: [] for p in pairs}
@@ -160,13 +159,37 @@ def _pair_collapse_table(gens, n: int):
             if p not in step:
                 step[p] = (i, q)
                 seeds.append(p)
-    return set(step), step
+    return step
+
+
+def _collapse(gens, step, n: int) -> tuple[list[int], set[int]]:
+    """Collapse pairs of the image greedily; return the word and the final image.
+
+    Starting from all points, follow the step chain of the image's first
+    collapsible pair (lexicographic over the sorted image) until no pair of
+    the image is collapsible. The final image is a clique of the kernel graph,
+    so it meets each kernel class of a minimal-rank product at most once: its
+    size is the minimal rank.
+    """
+    word: list[int] = []
+    image = set(range(n))
+    while True:
+        pts = sorted(image)
+        pair = next(
+            ((u, v) for i, u in enumerate(pts) for v in pts[i + 1 :] if (u, v) in step), None
+        )
+        if pair is None:
+            return word, image
+        while pair is not None:
+            gen_index, pair = step[pair]
+            word.append(gen_index)
+            image = {gens[gen_index].images[x] for x in image}
 
 
 def collapsible_pairs(generators) -> set[tuple[int, int]]:
     """Pairs (u,v), u<v, merged by some product of the generators."""
     gens = _check_generators(generators)
-    return _pair_collapse_table(gens, gens[0].n)[0]
+    return set(_pair_collapse_table(gens, gens[0].n))
 
 
 def is_synchronizing(generators) -> bool:
@@ -180,8 +203,7 @@ def is_synchronizing(generators) -> bool:
         return False
     gens = _check_generators(gens)
     n = gens[0].n
-    collapsible_set = _pair_collapse_table(gens, n)[0]
-    return len(collapsible_set) == n * (n - 1) // 2
+    return len(_pair_collapse_table(gens, n)) == n * (n - 1) // 2
 
 
 def synchronizing_word(generators) -> list[int] | None:
@@ -191,43 +213,17 @@ def synchronizing_word(generators) -> list[int] | None:
         return None
     gens = _check_generators(gens)
     n = gens[0].n
-    collapsible_set, step = _pair_collapse_table(gens, n)
-    if len(collapsible_set) < n * (n - 1) // 2:
+    step = _pair_collapse_table(gens, n)
+    if len(step) < n * (n - 1) // 2:
         return None
-    word: list[int] = []
-    current = set(range(n))
-    while len(current) > 1:
-        pts = sorted(current)
-        pair = (pts[0], pts[1])
-        while pair is not None:
-            gen_index, pair = step[pair]
-            word.append(gen_index)
-            current = {gens[gen_index].images[x] for x in current}
-    return word
+    return _collapse(gens, step, n)[0]
 
 
-def min_rank_of_generators(generators, *, state_cap: int = DEFAULT_IMAGE_STATE_CAP) -> int:
-    """Minimum rank over all nonempty products, by search on image sets."""
+def min_rank_of_generators(generators) -> int:
+    """Minimum rank over all nonempty products, by greedy pair collapse."""
     gens = _check_generators(generators)
-    best = min(g.rank for g in gens)
-    seen: set[frozenset[int]] = set()
-    queue: deque[frozenset[int]] = deque()
-    for g in gens:
-        state = frozenset(g.image_set)
-        if state not in seen:
-            seen.add(state)
-            queue.append(state)
-    while queue and best > 1:
-        state = queue.popleft()
-        for g in gens:
-            new = frozenset(g.images[x] for x in state)
-            if new not in seen:
-                seen.add(new)
-                if len(seen) > state_cap:
-                    raise BudgetExceededError("closure", state_cap, "image-set search")
-                best = min(best, len(new))
-                queue.append(new)
-    return best
+    n = gens[0].n
+    return len(_collapse(gens, _pair_collapse_table(gens, n), n)[1])
 
 
 # ----------------------------------------------------- homomorphism searching

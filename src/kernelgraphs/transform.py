@@ -65,16 +65,17 @@ class Transformation:
     def parse(cls, text: str, *, line: int | None = None) -> "Transformation":
         """Parse the 1-based bracket format ``[3,3,4,3]``."""
         s = text.strip()
+        lead = len(text) - len(text.lstrip())
         if not (s.startswith("[") and s.endswith("]")):
-            col = 1 if not s.startswith("[") else len(text)
+            col = lead + (1 if not s.startswith("[") else len(s))
             raise ParseError(f"expected bracketed image list, got {text!r}", line=line, column=col)
         body = s[1:-1]
         if not body.strip():
-            raise ParseError("empty image list", line=line, column=2)
+            raise ParseError("empty image list", line=line, column=lead + 2)
         parts = body.split(",")
         n = len(parts)
         images = []
-        start = len(text) - len(text.lstrip()) + 1  # index in text of the entry
+        start = lead + 1  # index in text of the entry
         for part in parts:
             p = part.strip()
             # the entry's first non-blank character, or the delimiter ending it
@@ -302,10 +303,11 @@ def parse_transformation_lines(lines) -> list[Transformation]:
     """
     result: list[Transformation] = []
     for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
+        text = raw.rstrip("\r\n")  # columns count from the line start
+        s = text.strip()
         if not s or s.startswith("#"):
             continue
-        t = Transformation.parse(s, line=lineno)
+        t = Transformation.parse(text, line=lineno)
         if result and t.n != result[0].n:
             raise ParseError(
                 f"point-set mismatch: {t.n} points here, {result[0].n} before", line=lineno

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kernelgraphs
 from kernelgraphs import census
 from kernelgraphs.cli import main
@@ -249,6 +251,33 @@ def test_bad_input_exit_codes(tmp_path, capsys):
 
     code, _, err = run(capsys, "kernel-graph", str(tmp_path / "missing.txt"))
     assert code == 1
+
+
+def test_array_file_errors_report_line_and_column(tmp_path, capsys):
+    f = tmp_path / "oa.txt"
+    f.write_text("# rows\n1 1 1 1\n\n  2 x 2 2\n")
+    for command in ("oa-graph", "extendible"):
+        code, _, err = run(capsys, "designs", command, str(f))
+        assert code == 1
+        assert err == "error: bad symbol 'x' at line 4, column 5\n"
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    f = tmp_path / "maps.txt"
+    f.write_text("[2,1,3]\n[1,1,3]\n")
+    for argv in [
+        ["aut", "--node-budget", "abc", "DUW"],
+        ["aut", "--node-budget", "-1", "DUW"],
+        ["sync-check", "--closure", "--closure-cap", "-1", str(f)],
+        ["census"],
+        ["no-such-command"],
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1, argv
+        assert capsys.readouterr().out == ""
+    # a zero budget is still valid: K3 is settled without a search
+    assert run(capsys, "hull", "--node-budget", "0", "Bw") == (0, "Bw\tis_hull=true\n", "")
 
 
 def test_budget_exit_codes(tmp_path, capsys):

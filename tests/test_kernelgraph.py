@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kernelgraphs import kernelgraph
+from kernelgraphs.cli import main
 from kernelgraphs.errors import BudgetExceededError
 from kernelgraphs.graphs import (
     Graph,
@@ -110,6 +111,23 @@ def test_clique_and_chromatic_equal_min_rank_on_closures():
         w = clique_number(result.graph)
         assert w == chromatic_number(result.graph)
         assert w == result.min_rank
+
+
+def cerny(n: int) -> list[Transformation]:
+    # the n-cycle and the map merging the first two points
+    return [Transformation([(i + 1) % n for i in range(n)]), Transformation([1] + list(range(1, n)))]
+
+
+def test_closure_kernel_graph_of_cerny_automaton(tmp_path, capsys):
+    gens = cerny(20)
+    assert min_rank_of_generators(gens) == 1
+    result = closure_kernel_graph(gens)
+    assert result.min_rank == 1
+    assert result.graph == Graph(20, [])
+    f = tmp_path / "c20.txt"
+    f.write_text("".join(f"{t}\n" for t in gens))
+    assert main(["kernel-graph", "--closed", str(f)]) == 0
+    assert capsys.readouterr().out.endswith("\tmin_rank=1\n")
 
 
 def test_closure_kernel_graph_group_case():

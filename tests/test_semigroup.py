@@ -169,8 +169,8 @@ def test_collapsible_pairs_against_closure_oracle():
 
 def test_min_rank_matches_closure():
     rng = random.Random(97)
-    for _ in range(200):
-        n = rng.randrange(2, 6)
+    for _ in range(400):
+        n = rng.randrange(1, 7)
         gens = [random_transformation(rng, n) for _ in range(rng.randrange(1, 4))]
         assert min_rank_of_generators(gens) == close(gens).min_rank
     assert min_rank_of_generators([T("[3,3,4,3]"), T("[3,3,2,4]")]) == 1

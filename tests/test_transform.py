@@ -229,3 +229,17 @@ def test_parse_transformation_lines():
     with pytest.raises(ParseError) as err:
         parse_transformation_lines(["[1,2]", "[1,2,3]"])
     assert err.value.line == 2
+
+
+def test_parse_transformation_lines_columns_count_from_the_line_start():
+    cases = {
+        ("[1,2]", "    [1,x]"): (2, 8),
+        ("\t[1,9]",): (1, 5),  # a tab is one column
+        ("  1,2]\n",): (1, 3),  # the missing opening bracket
+        ("[2,1]\r\n", "  [1,2  "): (2, 6),  # the last character before the missing "]"
+        (" [ ] ",): (1, 3),
+    }
+    for lines, where in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_transformation_lines(lines)
+        assert (err.value.line, err.value.column) == where, lines
