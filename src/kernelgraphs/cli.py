@@ -37,6 +37,14 @@ def _read_lines(path: str) -> list[str]:
     return Path(path).read_text().splitlines()
 
 
+def _read_members(path: str) -> list:
+    """The transformations listed in ``path``, of which there must be at least one."""
+    members = parse_transformation_lines(_read_lines(path))
+    if not members:
+        raise ValueError(f"{'standard input' if path == '-' else path}: no transformation found")
+    return members
+
+
 def _bracket(images) -> str:
     return "[" + ",".join(str(x + 1) for x in images) + "]"
 
@@ -50,7 +58,7 @@ def _emit(args, payload: dict, text: str) -> int:
 
 
 def _cmd_kernel_graph(args) -> int:
-    members = parse_transformation_lines(_read_lines(args.file))
+    members = _read_members(args.file)
     result = closure_kernel_graph(members) if args.closed else kernel_graph(members)
     g6 = to_graph6(result.graph)
     payload = {
@@ -129,7 +137,7 @@ def _cmd_mingen(args) -> int:
 
 
 def _cmd_sync_check(args) -> int:
-    members = parse_transformation_lines(_read_lines(args.file))
+    members = _read_members(args.file)
     word = synchronizing_word(members)
     payload: dict = {
         "synchronizing": word is not None,

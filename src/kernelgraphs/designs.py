@@ -96,9 +96,6 @@ class FiniteField:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def __repr__(self) -> str:
         return f"FiniteField.of_order({self.q})"
 

@@ -101,9 +101,6 @@ class Graph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(a.bit_count() for a in self.adj))
 
-    def is_regular(self) -> bool:
-        return len(set(self.degree_sequence())) <= 1
-
     def with_vertex(self, neighbor_mask: int) -> "Graph":
         """Append vertex n adjacent to the bitset over the old vertices."""
         n = self.n
@@ -704,13 +701,32 @@ _GENERATE_LIMIT = 8
 
 @lru_cache(maxsize=None)
 def _all_graphs_level(n: int) -> tuple[Graph, ...]:
+    """Canonicalize the one-vertex extensions of each graph on n - 1 vertices.
+
+    Every graph G arises from G - w for a vertex w of maximum degree, so an
+    extension mask is kept only when the new vertex has maximum degree in
+    the child.  Masks in one orbit of Aut(parent) give isomorphic children,
+    so one mask per orbit is kept (McKay, *Isomorph-free exhaustive
+    generation*, 1998).  The certificate dictionary removes what is left.
+    """
     if n == 1:
         return (Graph(1),)
     reps: dict[bytes, Graph] = {}
     for parent in _all_graphs_level(n - 1):
+        degrees = [a.bit_count() for a in parent.adj]
+        generators = _ir_search(parent, _Budget(None, "automorphism search"))[1]
+        seen: set[int] = set()
         for mask in range(1 << (n - 1)):
-            candidate = parent.with_vertex(mask)
-            cert = canonical_form(candidate)
+            size = mask.bit_count()
+            if mask in seen or any(size < d + (mask >> v & 1) for v, d in enumerate(degrees)):
+                continue
+            frontier = [mask]
+            while frontier:
+                m = frontier.pop()
+                if m not in seen:
+                    seen.add(m)
+                    frontier.extend(sum(1 << gen[v] for v in _bits(m)) for gen in generators)
+            cert = canonical_form(parent.with_vertex(mask))
             if cert not in reps:
                 reps[cert] = from_graph6(cert.decode("ascii"))
     return tuple(reps[key] for key in sorted(reps))

@@ -10,7 +10,7 @@ from collections import deque
 
 from .errors import ClosureCapExceededError, _Budget
 from .graphs import Graph, _bits
-from .transform import Partition, Transformation
+from .transform import Transformation
 
 __all__ = [
     "SemigroupClosure",
@@ -73,13 +73,6 @@ class SemigroupClosure:
     @property
     def contains_constant(self) -> bool:
         return self.min_rank == 1
-
-    def elements_of_rank(self, r: int) -> list[Transformation]:
-        return [t for t in self.elements if t.rank == r]
-
-    def kernels_of_min_rank(self) -> set[Partition]:
-        r = self.min_rank
-        return {t.kernel() for t in self.elements if t.rank == r}
 
     def word_of(self, t: Transformation) -> list[int]:
         """Generator indices whose left-to-right product equals t."""

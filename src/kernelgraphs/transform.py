@@ -264,9 +264,6 @@ class Partition:
     def block_containing(self, point: int) -> tuple[int, ...]:
         return self.blocks[self._block_of[point]]
 
-    def same_block(self, u: int, v: int) -> bool:
-        return self._block_of[u] == self._block_of[v]
-
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
         if self.n != other.n:
@@ -276,13 +273,6 @@ class Partition:
     def is_uniform(self) -> bool:
         sizes = {len(b) for b in self.blocks}
         return len(sizes) == 1
-
-    def within_block_pairs(self):
-        """All unordered pairs lying together in some block."""
-        for b in self.blocks:
-            for i in range(len(b)):
-                for j in range(i + 1, len(b)):
-                    yield (b[i], b[j])
 
     def as_transformation(self) -> Transformation:
         """Idempotent collapsing each block to its least element.

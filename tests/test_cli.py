@@ -147,6 +147,24 @@ def test_sync_check_negative(capsys, monkeypatch):
     assert out == "not synchronizing\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["sync-check"], ["sync-check", "--closure"], ["kernel-graph"]]
+)
+def test_input_without_transformations_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO("# nothing\n\n"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: standard input: no transformation found\n"
+
+
+def test_empty_transformation_file_is_named(tmp_path, capsys):
+    f = tmp_path / "maps.txt"
+    f.write_text("# nothing\n")
+    code, _, err = run(capsys, "kernel-graph", "--closed", str(f))
+    assert code == 1
+    assert err == f"error: {f}: no transformation found\n"
+
+
 def test_census_command(tmp_path, capsys):
     out_dir = tmp_path / "census"
     code, out, _ = run(

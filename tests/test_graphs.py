@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -411,8 +412,37 @@ def test_generate_all_counts():
         assert all(canonical_graph(g) == g for g in graphs)
 
 
+def graph6_digest(graphs) -> str:
+    return hashlib.sha256("\n".join(to_graph6(g) for g in graphs).encode("ascii")).hexdigest()
+
+
 def test_generate_all_seven():
-    assert sum(1 for _ in generate_all(7)) == 1044
+    graphs = list(generate_all(7))
+    assert len(graphs) == 1044
+    # digest of the output of the generator that canonicalized every extension
+    assert graph6_digest(graphs) == (
+        "6534d87cffdc26a9d1f89ddfae7de1b511a3350fa5327c6abcd943a1d0833652"
+    )
+
+
+@pytest.mark.slow
+def test_generate_all_eight():
+    graphs = list(generate_all(8))
+    assert len(graphs) == 12346
+    assert graph6_digest(graphs) == (
+        "b630563c5ff2392771c22e9ee5a07b4e3e9ad1528b7b247346e4edaf4c31198f"
+    )
+
+
+def test_generate_all_matches_every_labelled_graph():
+    # oracle without the extension rules: canonicalize all labelled graphs
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        labelled = {
+            canonical_form(Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+            for bits in range(1 << len(pairs))
+        }
+        assert labelled == {canonical_form(g) for g in generate_all(n)}
 
 
 def test_generate_all_bounds():
