@@ -12,7 +12,7 @@ printf '[2,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20]\n' >> "$work/cerny2
 echo '# kernel graph of a transformation set, then of its closure'
 kernelgraphs kernel-graph "$work/maps.txt"
 kernelgraphs kernel-graph "$work/maps.txt" --closed
-kernelgraphs kernel-graph "$work/cerny20.txt" --closed   # min rank 1 from the pair table
+kernelgraphs kernel-graph "$work/cerny20.txt" --closed   # min rank 1 from the pair graph
 
 echo '# hulls'
 kernelgraphs hull 'DqK'          # P5

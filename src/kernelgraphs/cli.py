@@ -261,15 +261,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _budget(text: str) -> int:
-    """Value of a budget flag: an integer >= 0."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+def _at_least(low: int):
+    """Type of a flag whose value is an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
 
 
 def _common_options(*, for_subcommand: bool) -> argparse.ArgumentParser:
@@ -291,13 +295,13 @@ def _common_options(*, for_subcommand: bool) -> argparse.ArgumentParser:
     )
     g.add_argument(
         "--closure-cap",
-        type=_budget,
+        type=_at_least(0),
         default=default(None),
         help="element cap when a closure is materialized",
     )
     g.add_argument(
         "--node-budget",
-        type=_budget,
+        type=_at_least(0),
         default=default(None),
         help="search node cap for homomorphism, cover and automorphism searches",
     )
@@ -381,8 +385,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--no-resume", action="store_true", help="ignore any partial run")
-    p.add_argument("--sync-trials", type=int, default=0, help="random synchronization trials")
-    p.add_argument("--sync-generators", type=int, default=2)
+    p.add_argument(
+        "--sync-trials", type=_at_least(0), default=0, help="random synchronization trials"
+    )
+    p.add_argument(
+        "--sync-generators", type=_at_least(1), default=2, help="maps per synchronization trial"
+    )
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("preimages", parents=[common], help="graphs whose hull is the input")

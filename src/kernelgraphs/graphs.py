@@ -696,7 +696,7 @@ def automorphisms(g: Graph, *, node_budget: int | None = None) -> list[tuple[int
 
 # -------------------------------------------------------- exhaustive generation
 
-_GENERATE_LIMIT = 8
+_GENERATE_LIMIT = 9
 
 
 @lru_cache(maxsize=None)

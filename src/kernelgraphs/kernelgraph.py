@@ -14,9 +14,9 @@ from .graphs import Graph, _ir_search, clique_number, complete
 from .groups import PermGroup
 from .semigroup import (
     _check_generators,
-    _collapse,
     _merging_endomorphism,
     _pair_collapse_table,
+    min_rank_of_generators,
 )
 
 __all__ = [
@@ -77,14 +77,16 @@ def closure_kernel_graph(generators) -> KernelGraphResult:
     """Kernel graph of the semigroup generated by the given transformations.
 
     Works on pair reachability, never materializing the closure: a pair is a
-    non-edge exactly when some product merges it, and the minimal rank is the
-    size of the image left by collapsing pairs greedily (omega = chi = rank).
+    non-edge exactly when some product merges it, found by exploring the
+    pair graph from every pair. The minimal rank comes from
+    ``min_rank_of_generators``, the size of the image left by collapsing
+    pairs greedily (omega = chi = rank).
     """
     gens = _check_generators(generators)
     n = gens[0].n
-    step = _pair_collapse_table(gens, n)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in step]
-    return KernelGraphResult(Graph(n, edges), len(_collapse(gens, step, n)[1]), None)
+    merged = _pair_collapse_table(gens, n)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in merged]
+    return KernelGraphResult(Graph(n, edges), min_rank_of_generators(gens), None)
 
 
 def _merged_pairs(images):

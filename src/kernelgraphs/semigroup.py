@@ -125,98 +125,180 @@ def transformation_of_word(generators, word) -> Transformation:
 
 # ----------------------------------------------------------- synchronization
 
-def _pair_collapse_table(gens, n: int):
-    """For each unordered pair (u, v), u < v, that some product merges, a first step.
+class _PairGraph:
+    """The pair graph of the generators, explored forward on demand.
 
-    Returns the step map: step[p] = (gen index, next pair or None) along a
-    shortest path to a collapse. Its keys are the collapsible pairs.
+    A pair u < v is coded u*n + v, and generator i sends it to the pair of
+    its images or merges it. A pair is marked once a merging word is known:
+    ``step[p] = (i, q)`` says generator i sends p to the marked pair q, or
+    merges p when q is -1, so following the steps spells a merging word.
+    Queued pairs are expanded in BFS order, each at most once (one tick of
+    ``budget``). A pair is marked while it is expanded, when a generator
+    merges it or sends it to a marked pair, and the mark spreads backward
+    over the edges explored so far, so only expanded pairs are ever marked.
+    An expansion stops at the first generator that marks its pair.
     """
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    reverse: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {p: [] for p in pairs}
-    step: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}
-    seeds: deque[tuple[int, int]] = deque()
-    for p in pairs:
-        u, v = p
-        for i, g in enumerate(gens):
-            gu, gv = g.images[u], g.images[v]
-            if gu == gv:
-                if p not in step:
-                    step[p] = (i, None)
-                    seeds.append(p)
-            else:
-                q = (gu, gv) if gu < gv else (gv, gu)
-                reverse[q].append((p, i))
-    while seeds:
-        q = seeds.popleft()
-        for p, i in reverse[q]:
-            if p not in step:
+
+    def __init__(self, gens, n: int, budget: _Budget | None):
+        self.images = [g.images for g in gens]
+        self.n = n
+        self.step: dict[int, tuple[int, int]] = {}
+        self.into: dict[int, list[tuple[int, int]]] = {}  # seen pair -> explored edges into it
+        self.queue: deque[int] = deque()
+        self.budget = _Budget(None, "pair search") if budget is None else budget
+
+    def add(self, pairs) -> None:
+        """Queue the pairs not seen yet as roots of the search."""
+        into, queue = self.into, self.queue
+        for p in pairs:
+            if p not in into:
+                into[p] = []
+                queue.append(p)
+
+    def explore(self, image) -> bool:
+        """Expand queued pairs until a pair of points in ``image`` gets marked.
+
+        Returns False when the queue runs out first: then every pair seen
+        and still unmarked has no merging word.
+        """
+        n, images, step, into, queue = self.n, self.images, self.step, self.into, self.queue
+        tick = self.budget.tick
+        while queue:
+            p = queue.popleft()
+            tick()
+            u, v = divmod(p, n)
+            for i, g in enumerate(images):
+                a, b = g[u], g[v]
+                q = -1
+                if a != b:
+                    q = a * n + b if a < b else b * n + a
+                    if q not in step:
+                        edges = into.get(q)
+                        if edges is None:
+                            into[q] = [(p, i)]
+                            queue.append(q)
+                        else:
+                            edges.append((p, i))
+                        continue
                 step[p] = (i, q)
-                seeds.append(p)
-    return step
+                hit = False
+                wave = [p]
+                for x in wave:
+                    if not hit:
+                        xu, xv = divmod(x, n)
+                        hit = xu in image and xv in image
+                    for r, j in into[x]:
+                        if r not in step:
+                            step[r] = (j, x)
+                            wave.append(r)
+                if hit:
+                    return True
+                break
+        return False
 
 
-def _collapse(gens, step, n: int) -> tuple[list[int], set[int]]:
-    """Collapse pairs of the image greedily; return the word and the final image.
+def _pair_collapse_table(gens, n: int, budget: _Budget | None = None) -> set[tuple[int, int]]:
+    """The pairs (u, v), u < v, that some product merges.
 
-    Starting from all points, follow the step chain of the image's first
-    collapsible pair (lexicographic over the sorted image) until no pair of
-    the image is collapsible. The final image is a clique of the kernel graph,
-    so it meets each kernel class of a minimal-rank product at most once: its
-    size is the minimal rank.
+    The same exploration as ``_collapse``, run from every pair until the
+    queue is empty.
     """
+    graph = _PairGraph(gens, n, budget)
+    graph.add(u * n + v for u in range(n) for v in range(u + 1, n))
+    graph.explore(())
+    return {divmod(p, n) for p in graph.step}
+
+
+def _collapse(gens, n: int, budget: _Budget | None = None) -> tuple[list[int], set[int]]:
+    """Collapse the image greedily; return the word and the final image.
+
+    Starting from all points, apply the first generator that is not
+    injective on the image, while there is one. Otherwise explore the pair
+    graph from the pairs of the image until one of them is marked, and
+    follow the steps of the first marked pair (lexicographic). Stop when no
+    pair of the image can be marked. The final image is a clique of the
+    kernel graph, so it meets each kernel class of a minimal-rank product
+    at most once: its size is the minimal rank.
+    """
+    graph = _PairGraph(gens, n, budget)
+    images, step = graph.images, graph.step
+
+    def first_marked(pts):
+        return next(
+            (u * n + v for k, u in enumerate(pts) for v in pts[k + 1 :] if u * n + v in step), None
+        )
+
     word: list[int] = []
     image = set(range(n))
-    while True:
-        pts = sorted(image)
-        pair = next(
-            ((u, v) for i, u in enumerate(pts) for v in pts[i + 1 :] if (u, v) in step), None
-        )
-        if pair is None:
-            return word, image
-        while pair is not None:
-            gen_index, pair = step[pair]
-            word.append(gen_index)
-            image = {gens[gen_index].images[x] for x in image}
+    while len(image) > 1:
+        for i, g in enumerate(images):
+            shrunk = {g[x] for x in image}
+            if len(shrunk) < len(image):
+                word.append(i)
+                image = shrunk
+                break
+        else:
+            pts = sorted(image)
+            pair = first_marked(pts)
+            if pair is None:
+                graph.add(u * n + v for k, u in enumerate(pts) for v in pts[k + 1 :])
+                if not graph.explore(image):
+                    break
+                pair = first_marked(pts)
+            while pair >= 0:
+                i, pair = step[pair]
+                word.append(i)
+                g = images[i]
+                image = {g[x] for x in image}
+    return word, image
 
 
 def collapsible_pairs(generators) -> set[tuple[int, int]]:
     """Pairs (u,v), u<v, merged by some product of the generators."""
     gens = _check_generators(generators)
-    return set(_pair_collapse_table(gens, gens[0].n))
+    return _pair_collapse_table(gens, gens[0].n)
 
 
 def is_synchronizing(generators) -> bool:
     """True when some product of the generators is a constant map.
 
-    Equivalent to every point pair being collapsible: collapsing pairs one at
-    a time drives any image set down to a single point.
+    Collapses the image greedily (see ``synchronizing_word``) and checks
+    that one point is left; random generator sets usually shrink the image
+    to a few points at once, so only a few pairs are ever explored.
     """
     gens = tuple(generators)
     if not gens:
         return False
     gens = _check_generators(gens)
-    n = gens[0].n
-    return len(_pair_collapse_table(gens, n)) == n * (n - 1) // 2
+    return len(_collapse(gens, gens[0].n)[1]) == 1
 
 
 def synchronizing_word(generators) -> list[int] | None:
-    """Generator indices whose product has rank 1, or None if impossible."""
+    """Generator indices whose product has rank 1, or None if impossible.
+
+    The word is built greedily: a generator that is not injective on the
+    current image is applied at once; otherwise the pair graph is explored
+    forward from the image's pairs, each pair expanded at most once, until
+    one of them has a known merging word, and that word is applied for the
+    lexicographically first such pair. The words are not shortest; on the
+    Cerny automaton C_n they have (n-1)^2 letters.
+    """
     gens = tuple(generators)
     if not gens:
         return None
     gens = _check_generators(gens)
-    n = gens[0].n
-    step = _pair_collapse_table(gens, n)
-    if len(step) < n * (n - 1) // 2:
-        return None
-    return _collapse(gens, step, n)[0]
+    word, image = _collapse(gens, gens[0].n)
+    return word if len(image) == 1 else None
 
 
 def min_rank_of_generators(generators) -> int:
-    """Minimum rank over all nonempty products, by greedy pair collapse."""
+    """Minimum rank over all nonempty products, by greedy pair collapse.
+
+    The image left when no pair of it has a merging word is a clique of the
+    kernel graph of minimal-rank size (omega = chi = minimal rank).
+    """
     gens = _check_generators(generators)
-    n = gens[0].n
-    return len(_collapse(gens, _pair_collapse_table(gens, n), n)[1])
+    return len(_collapse(gens, gens[0].n)[1])
 
 
 # ----------------------------------------------------- homomorphism searching

@@ -190,6 +190,17 @@ def test_census_command(tmp_path, capsys):
     assert out.startswith("n=3\tgraphs=4\thulls=4\n")
 
 
+def test_census_rejects_bad_sync_flags_before_any_work(tmp_path, capsys):
+    out_dir = tmp_path / "census"
+    for flags in (["--sync-trials", "-1"], ["--sync-generators", "0"],
+                  ["--sync-trials", "5", "--sync-generators", "0"]):
+        with pytest.raises(SystemExit) as info:
+            main(["census", "3", "--out", str(out_dir), *flags])
+        assert info.value.code == 1, flags
+        assert "expected an integer >= " in capsys.readouterr().err
+        assert not out_dir.exists(), flags
+
+
 def test_census_malformed_file_exits_1(tmp_path, capsys):
     path = tmp_path / "hulls_n3.jsonl"
     for text, where in (

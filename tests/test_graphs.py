@@ -434,6 +434,12 @@ def test_generate_all_eight():
     )
 
 
+@pytest.mark.slow
+def test_generate_all_nine():
+    # OEIS A000088: graphs on 9 vertices up to isomorphism
+    assert sum(1 for _ in generate_all(9)) == 274668
+
+
 def test_generate_all_matches_every_labelled_graph():
     # oracle without the extension rules: canonicalize all labelled graphs
     for n in range(1, 6):
@@ -449,4 +455,4 @@ def test_generate_all_bounds():
     with pytest.raises(UnsupportedParameterError):
         list(generate_all(0))
     with pytest.raises(UnsupportedParameterError):
-        list(generate_all(9))
+        list(generate_all(10))

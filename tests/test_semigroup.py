@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kernelgraphs.errors import BudgetExceededError, ClosureCapExceededError
+from kernelgraphs.errors import BudgetExceededError, ClosureCapExceededError, _Budget
 from kernelgraphs.graphs import (
     Graph,
     cartesian_product,
@@ -15,6 +15,8 @@ from kernelgraphs.graphs import (
     union_complete,
 )
 from kernelgraphs.semigroup import (
+    _collapse,
+    _pair_collapse_table,
     _quotient,
     close,
     collapsible,
@@ -41,6 +43,41 @@ T = Transformation.parse
 
 def random_transformation(rng: random.Random, n: int) -> Transformation:
     return Transformation([rng.randrange(n) for _ in range(n)])
+
+
+def non_synchronizing_sets(rng: random.Random, count: int):
+    """Pairs of structured generator sets on at most 9 points that never synchronize.
+
+    Core maps send every point into a fixed r-set K and permute K, so every
+    product has rank r. The n-cycle with a map keeping each residue mod m,
+    m a proper divisor of n, never merges points of different residues.
+    """
+    for _ in range(count):
+        n = rng.randrange(2, 10)
+        r = rng.randint(2, min(4, n))
+        core = rng.sample(range(n), r)
+        maps = []
+        for _ in range(rng.randint(1, 3)):
+            images = [rng.choice(core) for _ in range(n)]
+            for a, b in zip(core, rng.sample(core, r)):
+                images[a] = b
+            maps.append(Transformation(images))
+        yield maps
+        n = rng.choice([4, 6, 8, 9])
+        m = rng.choice([d for d in range(2, n) if n % d == 0])
+        targets = [rng.sample(range(c, n, m), 2) for c in range(m)]
+        yield [
+            Transformation([(x + 1) % n for x in range(n)]),
+            Transformation([rng.choice(targets[x % m]) for x in range(n)]),
+        ]
+
+
+def cerny(n: int) -> list[Transformation]:
+    # the n-cycle and the map merging the first two points
+    return [
+        Transformation([(i + 1) % n for i in range(n)]),
+        Transformation([1] + list(range(1, n))),
+    ]
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -138,9 +175,12 @@ def test_synchronizing_word_none_for_group():
 
 def test_sync_against_closure_oracle():
     rng = random.Random(91)
+    cases = []
     for _ in range(300):
         n = rng.randrange(3, 6)
-        gens = [random_transformation(rng, n) for _ in range(rng.randrange(1, 4))]
+        cases.append([random_transformation(rng, n) for _ in range(rng.randrange(1, 4))])
+    structured = list(non_synchronizing_sets(rng, 15))
+    for gens in cases + structured:
         c = close(gens)
         expected = any(t.rank == 1 for t in c)
         assert is_synchronizing(gens) == expected
@@ -150,13 +190,17 @@ def test_sync_against_closure_oracle():
             assert transformation_of_word(gens, word).rank == 1
         else:
             assert word is None
+    assert not any(is_synchronizing(gens) for gens in structured)
 
 
 def test_collapsible_pairs_against_closure_oracle():
     rng = random.Random(93)
+    cases = []
     for _ in range(200):
         n = rng.randrange(3, 6)
-        gens = [random_transformation(rng, n) for _ in range(rng.randrange(1, 4))]
+        cases.append([random_transformation(rng, n) for _ in range(rng.randrange(1, 4))])
+    for gens in cases + list(non_synchronizing_sets(rng, 15)):
+        n = gens[0].n
         c = close(gens)
         expected = set()
         for t in c:
@@ -169,11 +213,42 @@ def test_collapsible_pairs_against_closure_oracle():
 
 def test_min_rank_matches_closure():
     rng = random.Random(97)
+    cases = []
     for _ in range(400):
         n = rng.randrange(1, 7)
-        gens = [random_transformation(rng, n) for _ in range(rng.randrange(1, 4))]
+        cases.append([random_transformation(rng, n) for _ in range(rng.randrange(1, 4))])
+    for gens in cases + list(non_synchronizing_sets(rng, 15)):
         assert min_rank_of_generators(gens) == close(gens).min_rank
     assert min_rank_of_generators([T("[3,3,4,3]"), T("[3,3,2,4]")]) == 1
+
+
+def test_cerny_word_length():
+    # C_n needs (n-1)^2 letters (Cerny), and the greedy collapse finds that many
+    for n in range(2, 41):
+        gens = cerny(n)
+        word = synchronizing_word(gens)
+        assert len(word) == (n - 1) ** 2
+        assert transformation_of_word(gens, word).rank == 1
+
+
+def test_each_pair_expanded_at_most_once():
+    rng = random.Random(101)
+    cases = [cerny(50)]
+    for _ in range(200):
+        n = rng.randrange(2, 31)
+        cases.append([random_transformation(rng, n) for _ in range(rng.randrange(1, 4))])
+    cases.extend(non_synchronizing_sets(rng, 10))
+    for gens in cases:
+        n = gens[0].n
+        for explore in (_collapse, _pair_collapse_table):
+            budget = _Budget(None, "pair search")
+            explore(gens, n, budget)
+            assert budget.used <= n * (n - 1) // 2
+    # random pairs of maps shrink the image at once, so few pairs are expanded
+    budget = _Budget(None, "pair search")
+    for _ in range(200):
+        _collapse([random_transformation(rng, 20) for _ in range(2)], 20, budget)
+    assert budget.used < 200 * 190 // 4
 
 
 # ------------------------------------------------------------- homomorphisms
