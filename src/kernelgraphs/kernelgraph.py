@@ -106,10 +106,12 @@ def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
     the pair's whole orbit under Aut(G): if f merges u and v and s is an
     automorphism, x -> f(s^-1(x)) merges s(u) and s(v). The automorphism
     search runs only once a second pair search is needed, so a graph that
-    one map settles pays for no group. ``node_budget`` caps each search on
-    its own.
+    one map settles pays for no group; from then on its generators also
+    prune the first image of every pair search to orbit minima.
+    ``node_budget`` caps each search on its own.
     """
     orbit: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> least pair of its orbit
+    generators = None  # of Aut(G), once the automorphism search has run
     verdict: dict[tuple[int, int], bool] = {}  # orbit label -> collapsible
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -123,7 +125,7 @@ def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
                 verdict = {orbit[p]: merged for p, merged in verdict.items()}
                 label = orbit[(u, v)]
             if label not in verdict:
-                images = _merging_endomorphism(g, u, v, node_budget)
+                images = _merging_endomorphism(g, u, v, node_budget, generators)
                 if images is None:
                     verdict[label] = False
                 else:

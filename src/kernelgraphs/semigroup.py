@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import ClosureCapExceededError, _Budget
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _ir_search, _orbit
 from .transform import Transformation
 
 __all__ = [
@@ -327,13 +327,15 @@ def _earlier_neighbors(g: Graph, order) -> list[list[int]]:
     return result
 
 
-def _maps(g: Graph, h: Graph, order, budget: _Budget):
+def _maps(g: Graph, h: Graph, order, budget: _Budget, roots: int | None = None):
     """Every homomorphism from the vertices in ``order`` into h.
 
     Assigns vertices in order, lowest candidate first, ticking the budget
-    once per inner search node. Yields one shared list indexed by g's
-    vertices, overwritten as the search goes on; vertices outside ``order``
-    keep image 0.
+    once per inner search node. ``roots`` is the bitset of candidate images
+    for the first vertex in ``order``, all of h by default; the other
+    vertices take any image their earlier neighbors allow. Yields one shared
+    list indexed by g's vertices, overwritten as the search goes on;
+    vertices outside ``order`` keep image 0.
     """
     images = [0] * g.n
     depth = len(order)
@@ -345,7 +347,7 @@ def _maps(g: Graph, h: Graph, order, budget: _Budget):
     full = (1 << h.n) - 1
     stack = [0] * depth  # candidates not yet tried at each level
     budget.tick()
-    stack[0] = full
+    stack[0] = full if roots is None else roots
     i = 0
     while i >= 0:
         cand = stack[i]
@@ -368,11 +370,26 @@ def _maps(g: Graph, h: Graph, order, budget: _Budget):
         stack[i] = cand
 
 
+def _orbit_roots(n: int, generators) -> dict[int, int]:
+    """The least point of each orbit of the group the generators span, mapped to its size."""
+    roots: dict[int, int] = {}
+    seen = 0
+    for v in range(n):
+        if not seen >> v & 1:
+            orbit = _orbit([v], generators)
+            seen |= orbit
+            roots[v] = orbit.bit_count()
+    return roots
+
+
 def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -> int:
     """Number of edge-preserving maps from g into h.
 
     Multiplicative over the components of g, so large disconnected counts
-    stay cheap.
+    stay cheap. Every vertex of h is tried as the first image of each
+    component: for a general target, searching Aut(h) first to skip the
+    repeated root subtrees costs more than it saves (K3 -> K60 went about
+    ten times slower in a trial). ``count_endomorphisms`` does skip them.
     """
     if g.n == 0:
         return 1
@@ -385,17 +402,24 @@ def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -
     return total
 
 
-def _first_map(g: Graph, h: Graph, budget: _Budget) -> list[int] | None:
+def _first_map(g: Graph, h: Graph, budget: _Budget, generators=None) -> list[int] | None:
     """A homomorphism g -> h as an image list over g's vertices, or None.
 
     Searches each component of g on its own and joins the first map of each,
     so a component that has no map fails without backtracking through the
-    others.
+    others. ``generators`` are automorphisms of h; with them each
+    component's first vertex tries only the least vertex of each orbit they
+    span. The map found is the same: if a map sends the first vertex to x,
+    composing it with an automorphism that takes x to the least vertex m of
+    its orbit gives one that sends it to m, and m is tried before x.
     """
+    roots = None
+    if generators:
+        roots = sum(1 << r for r in _orbit_roots(h.n, generators))
     images = [0] * g.n
     for comp in g.components():
         order = _bfs_order(g, comp)
-        found = next(_maps(g, h, order, budget), None)
+        found = next(_maps(g, h, order, budget, roots), None)
         if found is None:
             return None
         for w in order:
@@ -418,7 +442,28 @@ def homomorphisms_iter(g: Graph, h: Graph, *, node_budget: int | None = None):
 
 
 def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
-    return count_homomorphisms(g, g, node_budget=node_budget)
+    """Number of endomorphisms of g, searched from one root per Aut(G)-orbit.
+
+    An automorphism s maps the endomorphisms that send a component's first
+    vertex to x one-to-one onto those that send it to s(x). So after one
+    automorphism search, each component tries only the least vertex of each
+    orbit as its first image and weights every map it finds by the size of
+    that orbit; the counts multiply over the components as in
+    ``count_homomorphisms``. ``node_budget`` caps the automorphism search
+    and the count together, and the error names the stage that ran out.
+    """
+    if g.n == 0:
+        return 1
+    budget = _Budget(node_budget, "automorphism search")
+    size = _orbit_roots(g.n, _ir_search(g, budget)[1])
+    budget.what = "homomorphism count"
+    roots = sum(1 << r for r in size)
+    total = 1
+    for comp in g.components():
+        order = _bfs_order(g, comp)
+        first = order[0]
+        total *= sum(size[images[first]] for images in _maps(g, g, order, budget, roots))
+    return total
 
 
 def endomorphisms_iter(g: Graph, *, node_budget: int | None = None):
@@ -458,16 +503,17 @@ def quotient_by_pair(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _merging_endomorphism(
-    g: Graph, u: int, v: int, node_budget: int | None
+    g: Graph, u: int, v: int, node_budget: int | None, generators=None
 ) -> tuple[int, ...] | None:
     """An endomorphism of g that maps non-adjacent u and v together, or None.
 
     Such an endomorphism is a homomorphism from the quotient that merges u and
     v back into g; the first one ``_first_map`` finds is returned as an image
-    tuple over g's vertices.
+    tuple over g's vertices. Automorphisms of g in ``generators`` prune the
+    search without changing the answer.
     """
     quotient, mapping = quotient_by_pair(g, u, v)
-    images = _first_map(quotient, g, _Budget(node_budget, "homomorphism search"))
+    images = _first_map(quotient, g, _Budget(node_budget, "homomorphism search"), generators)
     return None if images is None else tuple(images[w] for w in mapping)
 
 

@@ -12,7 +12,10 @@ import kernelgraphs
 from kernelgraphs import census
 from kernelgraphs.cli import main
 from kernelgraphs.designs import OrthogonalArray, cyclic_square, mols_complete, oa_from_mols
+from kernelgraphs.errors import _Budget
 from kernelgraphs.graphs import (
+    _ir_search,
+    cartesian_product,
     complete,
     cycle,
     from_graph6,
@@ -318,6 +321,17 @@ def test_budget_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "--time-limit", "0.05", "census", "6", "--out", str(tmp_path))
     assert code == 2
     assert "time" in err
+
+
+def test_end_count_budget_caps_the_automorphism_search(capsys):
+    g = cartesian_product(cycle(5), cycle(5))
+    search = _Budget(None, "automorphism search")
+    _ir_search(g, search)
+    code, out, err = run(capsys, "--node-budget", str(search.used - 1), "end-count", to_graph6(g))
+    assert code == 2
+    assert out == ""
+    assert "automorphism search" in err
+    assert run(capsys, "--node-budget", "100000", "end-count", to_graph6(g))[:2] == (0, "400\n")
 
 
 def test_unusable_time_limits_are_rejected(tmp_path, capsys):

@@ -6,16 +6,20 @@ import pytest
 from kernelgraphs.errors import BudgetExceededError, ClosureCapExceededError, _Budget
 from kernelgraphs.graphs import (
     Graph,
+    _ir_search,
     cartesian_product,
     complete,
     cycle,
     disjoint_union,
+    generate_all,
+    hamming,
     null_graph,
     path,
     union_complete,
 )
 from kernelgraphs.semigroup import (
     _collapse,
+    _merging_endomorphism,
     _pair_collapse_table,
     _quotient,
     close,
@@ -273,6 +277,50 @@ def test_endomorphism_count_against_brute_force():
         assert count_endomorphisms(g) == brute_endomorphism_count(g)
 
 
+def test_orbit_rooted_count_matches_full_root_count():
+    # count_homomorphisms(g, g) and endomorphisms_iter try every root
+    for n in range(1, 7):
+        for g in generate_all(n):
+            assert count_endomorphisms(g) == sum(1 for _ in endomorphisms_iter(g)), g
+    for g in (
+        disjoint_union(cycle(5), 3),
+        disjoint_union(complete(5), 3),
+        Graph(7, [*cycle(5).edges(), (5, 6)]),  # C5 + K2
+        Graph(7, [(0, 1), *((u + 2, v + 2) for u, v in cycle(5).edges())]),  # K2 + C5
+        null_graph(1),
+        null_graph(5),
+        null_graph(7),
+    ):
+        assert count_endomorphisms(g) == count_homomorphisms(g, g)
+    assert count_endomorphisms(null_graph(0)) == 1
+
+
+def test_endomorphism_counts_of_the_families():
+    assert count_endomorphisms(cartesian_product(cycle(5), cycle(5))) == 400
+    assert count_endomorphisms(C5P3) == 340
+    assert count_endomorphisms(hamming(3, 3)) == 5832
+
+
+def test_merging_endomorphism_unchanged_by_orbit_roots():
+    for n in range(2, 7):
+        for g in generate_all(n):
+            generators = _ir_search(g, _Budget(None, "automorphism search"))[1]
+            for u, v in itertools.combinations(range(n), 2):
+                if not g.has_edge(u, v):
+                    plain = _merging_endomorphism(g, u, v, None)
+                    assert _merging_endomorphism(g, u, v, None, generators) == plain, (g, u, v)
+
+
+def test_endomorphism_count_budget_covers_both_stages():
+    g = cartesian_product(cycle(5), cycle(5))
+    search = _Budget(None, "automorphism search")
+    _ir_search(g, search)
+    with pytest.raises(BudgetExceededError, match="automorphism search"):
+        count_endomorphisms(g, node_budget=search.used - 1)
+    with pytest.raises(BudgetExceededError, match="homomorphism count"):
+        count_endomorphisms(g, node_budget=search.used)
+
+
 def test_homomorphisms_iter_consistent_with_count():
     rng = random.Random(103)
     for _ in range(40):
@@ -305,14 +353,18 @@ C5P3 = cartesian_product(cycle(5), path(3))
 C8_MERGED = quotient_by_pair(C8, 0, 2)[0]
 
 
-# (search, exact node count it needs, result); counts recorded before the
-# searches were merged into one engine, so a changed tick schedule shows here
+# (search, exact node count it needs, result); a changed tick schedule shows
+# here. The exists and iter counts were recorded before the searches were
+# merged into one engine. The count rows were re-recorded when
+# count_endomorphisms began to search Aut(G) first and root each component
+# only at orbit minima: they now include the automorphism search's nodes and
+# fell from 1,017 / 275,396 / 536.
 @pytest.mark.parametrize(
     "search, nodes, result",
     [
-        (lambda b: count_endomorphisms(C8, node_budget=b), 1017, 576),
-        (lambda b: count_endomorphisms(C5P3, node_budget=b), 275396, 340),
-        (lambda b: count_endomorphisms(C8_MERGED, node_budget=b), 536, 398),
+        (lambda b: count_endomorphisms(C8, node_budget=b), 134, 576),
+        (lambda b: count_endomorphisms(C5P3, node_budget=b), 42947, 340),
+        (lambda b: count_endomorphisms(C8_MERGED, node_budget=b), 391, 398),
         (lambda b: exists_homomorphism(C8, complete(3), node_budget=b), 8, True),
         (lambda b: exists_homomorphism(C5P3, C8, node_budget=b), 3129, False),
         (lambda b: exists_homomorphism(C8_MERGED, C8, node_budget=b), 7, True),
