@@ -159,9 +159,8 @@ def _cmd_sync_check(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    summary = run_census(
-        args.n, args.out, workers=args.threads, resume=not args.no_resume
-    )
+    workers = 1 if args.threads is None else args.threads
+    summary = run_census(args.n, args.out, workers=workers, resume=not args.no_resume)
     payload = summary.to_dict()
     lines = [f"n={summary.n}\tgraphs={summary.graphs}\thulls={summary.hulls}"]
     lines.append(
@@ -291,7 +290,7 @@ def _common_options(*, for_subcommand: bool) -> argparse.ArgumentParser:
         "--seed", type=int, default=default(None), help="seed for randomized commands"
     )
     g.add_argument(
-        "--threads", type=int, default=default(1), help="worker processes for census"
+        "--threads", type=int, default=default(None), help="census worker processes (default 1)"
     )
     g.add_argument(
         "--closure-cap",
@@ -329,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         parents=[_common_options(for_subcommand=False)],
     )
-    # subcommands record the budget flags they read; main rejects the rest
+    # subcommands record the budget, seed and thread flags they read; main rejects the rest
     parser.set_defaults(budgets=())
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -391,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sync-generators", type=_at_least(1), default=2, help="maps per synchronization trial"
     )
-    p.set_defaults(func=_cmd_census)
+    p.set_defaults(func=_cmd_census, budgets=("threads", "seed"))
 
     p = sub.add_parser("preimages", parents=[common], help="graphs whose hull is the input")
     p.add_argument("graph", help="graph6 text")
@@ -421,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _reject_unread_budgets(args) -> None:
     read = args.budgets(args) if callable(args.budgets) else args.budgets
-    for dest in ("node_budget", "closure_cap"):
+    for dest in ("node_budget", "closure_cap", "threads", "seed"):
         if getattr(args, dest) is not None and dest not in read:
             command = " ".join(filter(None, (args.command, getattr(args, "design_command", ""))))
             raise ValueError(f"{command} does not read --{dest.replace('_', '-')}")

@@ -15,6 +15,7 @@ from .groups import PermGroup
 from .semigroup import (
     _check_generators,
     _merging_endomorphism,
+    _orbit_roots,
     _pair_collapse_table,
     min_rank_of_generators,
 )
@@ -106,12 +107,12 @@ def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
     the pair's whole orbit under Aut(G): if f merges u and v and s is an
     automorphism, x -> f(s^-1(x)) merges s(u) and s(v). The automorphism
     search runs only once a second pair search is needed, so a graph that
-    one map settles pays for no group; from then on its generators also
-    prune the first image of every pair search to orbit minima.
+    one map settles pays for no group; from then on the first image of
+    every pair search is pruned to the least vertex of each Aut(G)-orbit.
     ``node_budget`` caps each search on its own.
     """
     orbit: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> least pair of its orbit
-    generators = None  # of Aut(G), once the automorphism search has run
+    roots = None  # bitset of Aut(G)'s orbit minima, once the automorphism search has run
     verdict: dict[tuple[int, int], bool] = {}  # orbit label -> collapsible
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -122,10 +123,11 @@ def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
                 # a second search is due: from now on verdicts spread over orbits
                 generators = _ir_search(g, _Budget(node_budget, "automorphism search"))[1]
                 orbit = PermGroup(g.n, generators).pair_orbits()
+                roots = sum(1 << r for r in _orbit_roots(g.n, generators))
                 verdict = {orbit[p]: merged for p, merged in verdict.items()}
                 label = orbit[(u, v)]
             if label not in verdict:
-                images = _merging_endomorphism(g, u, v, node_budget, generators)
+                images = _merging_endomorphism(g, u, v, node_budget, roots)
                 if images is None:
                     verdict[label] = False
                 else:

@@ -16,6 +16,7 @@ Cores of symmetric graphs, 2008), and an endomorphism followed by an
 omega-colouring sent onto a maximum clique has a coarser kernel with omega
 classes; so the maximal endomorphism kernels are the omega-colourings, each
 complete with quotient K_omega, and the endomorphic walk opens <= omega blocks.
+As endomorphisms they merge every non-edge exactly when g is a hull.
 
 Pair sets on n vertices are integers with pair u < v as bit u*n + v, so bits
 run in lexicographic pair order. The partition walk places vertices in order
@@ -159,6 +160,16 @@ def minimal_generating_set(
     endomorphism of g; that variant is solvable exactly when g is a hull,
     and NotAHullError reports the obstruction otherwise.
     """
+    found = _minimum(g, within_endomorphisms, node_budget)
+    if found is None:
+        pairs = _uncollapsible_nonedges(g, node_budget)
+        listed = ", ".join(f"({u + 1},{v + 1})" for u, v in pairs)
+        raise NotAHullError(f"no endomorphism merges the pair(s) {listed}")
+    return found
+
+
+def _minimum(g: Graph, within_endomorphisms: bool, node_budget: int | None):
+    """``minimal_generating_set``, or None when its omega-colourings show g is no hull."""
     n = g.n
     full = sum(  # the non-edges u < v, as bits u*n + v
         1 << u * n + v for u in range(n) for v in range(u + 1, n) if not g.adj[u] >> v & 1
@@ -178,9 +189,7 @@ def minimal_generating_set(
         for _, mask in cands:
             union |= mask
         if union != full:
-            pairs = _uncollapsible_nonedges(g, node_budget)
-            listed = ", ".join(f"({u + 1},{v + 1})" for u, v in pairs)
-            raise NotAHullError(f"no endomorphism merges the pair(s) {listed}")
+            return None
     chosen = _min_cover([mask for _, mask in cands], full, node_budget=node_budget)
     if within_endomorphisms:
         # every chosen colouring has quotient K_omega: send its blocks onto one clique

@@ -402,20 +402,17 @@ def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -
     return total
 
 
-def _first_map(g: Graph, h: Graph, budget: _Budget, generators=None) -> list[int] | None:
+def _first_map(g: Graph, h: Graph, budget: _Budget, roots=None) -> list[int] | None:
     """A homomorphism g -> h as an image list over g's vertices, or None.
 
     Searches each component of g on its own and joins the first map of each,
     so a component that has no map fails without backtracking through the
-    others. ``generators`` are automorphisms of h; with them each
-    component's first vertex tries only the least vertex of each orbit they
-    span. The map found is the same: if a map sends the first vertex to x,
-    composing it with an automorphism that takes x to the least vertex m of
-    its orbit gives one that sends it to m, and m is tried before x.
+    others. ``roots`` is the bitset of the least vertex of each orbit of a
+    group of automorphisms of h; with it each component's first vertex tries
+    only those. The map found is the same: if a map sends the first vertex
+    to x, composing it with an automorphism that takes x to the least vertex
+    m of its orbit gives one that sends it to m, and m is tried before x.
     """
-    roots = None
-    if generators:
-        roots = sum(1 << r for r in _orbit_roots(h.n, generators))
     images = [0] * g.n
     for comp in g.components():
         order = _bfs_order(g, comp)
@@ -503,17 +500,17 @@ def quotient_by_pair(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _merging_endomorphism(
-    g: Graph, u: int, v: int, node_budget: int | None, generators=None
+    g: Graph, u: int, v: int, node_budget: int | None, roots: int | None = None
 ) -> tuple[int, ...] | None:
     """An endomorphism of g that maps non-adjacent u and v together, or None.
 
     Such an endomorphism is a homomorphism from the quotient that merges u and
     v back into g; the first one ``_first_map`` finds is returned as an image
-    tuple over g's vertices. Automorphisms of g in ``generators`` prune the
-    search without changing the answer.
+    tuple over g's vertices. Orbit minima of automorphisms of g in ``roots``
+    prune the search without changing the answer.
     """
     quotient, mapping = quotient_by_pair(g, u, v)
-    images = _first_map(quotient, g, _Budget(node_budget, "homomorphism search"), generators)
+    images = _first_map(quotient, g, _Budget(node_budget, "homomorphism search"), roots)
     return None if images is None else tuple(images[w] for w in mapping)
 
 

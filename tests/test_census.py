@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from kernelgraphs import graphs, groups, kernelgraph, semigroup
 from kernelgraphs.census import (
     REFERENCE_GROUP_TABLES,
     _census_entry,
@@ -14,10 +16,12 @@ from kernelgraphs.graphs import (
     canonical_form,
     complete,
     cycle,
+    generate_all,
     null_graph,
     path,
     to_graph6,
 )
+from kernelgraphs.kernelgraph import is_hull
 from kernelgraphs.semigroup import is_synchronizing
 from kernelgraphs.transform import Transformation
 
@@ -50,6 +54,31 @@ def test_entry_where_endomorphism_restriction_costs_a_member():
     assert row["is_hull"]
     assert row["min_generators"] == 4
     assert row["min_generators_free"] == 3
+
+
+def test_entry_verdict_matches_is_hull():
+    for n in range(1, 7):
+        for g in generate_all(n):
+            assert _census_entry(to_graph6(g))["is_hull"] == is_hull(g), to_graph6(g)
+
+
+def test_entry_runs_one_automorphism_search_per_hull(monkeypatch):
+    calls = []
+    real = graphs._ir_search
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (graphs, groups, kernelgraph, semigroup):
+        monkeypatch.setattr(module, "_ir_search", counted)
+    hulls = 0
+    for g in generate_all(5):
+        before = len(calls)
+        row = _census_entry(to_graph6(g))
+        assert len(calls) - before == row["is_hull"], to_graph6(g)
+        hulls += row["is_hull"]
+    assert hulls == 27
 
 
 def test_census_n3(tmp_path):
@@ -96,6 +125,8 @@ def test_census_n6_matches_published(tmp_path):
     assert summary.group_distribution == REFERENCE_GROUP_TABLES[6]
     assert summary.size_distribution == {1: 11, 2: 35, 3: 46, 4: 9, 5: 1}
     assert summary.warnings == ()
+    digest = hashlib.sha256((tmp_path / "hulls_n6.jsonl").read_bytes()).hexdigest()
+    assert digest == "65586461c60c4824220ce4867433d141f02b231dc441445897b449a4b398d777"
 
 
 @pytest.mark.slow
@@ -105,6 +136,8 @@ def test_census_n8_totals(tmp_path):
     assert summary.graphs == 12346
     assert summary.hulls == 4783
     assert summary.size_distribution == {1: 22, 2: 275, 3: 2656, 4: 1654, 5: 160, 6: 15, 7: 1}
+    digest = hashlib.sha256((tmp_path / "hulls_n8.jsonl").read_bytes()).hexdigest()
+    assert digest == "669a17c5a69964d6868a8ba358ea14acd065b99276700333563e0d00f0e8e0e1"
 
 
 def test_census_size_one_count_is_partition_number(tmp_path):

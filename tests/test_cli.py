@@ -403,6 +403,10 @@ def test_unread_budget_flags_are_rejected(tmp_path, capsys):
         (["sync-check", str(f), "--closure-cap", "9"], "--closure-cap"),
         (["sync-check", str(f), "--node-budget", "9"], "--node-budget"),
         (["hull", g6, "--closure-cap", "9"], "--closure-cap"),
+        (["aut", g6, "--threads", "3"], "--threads"),
+        (["hull", g6, "--threads", "0"], "--threads"),
+        (["mingen", g6, "--seed", "1"], "--seed"),
+        (["--seed", "1", "designs", "mols", "3"], "--seed"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
