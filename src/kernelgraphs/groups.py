@@ -10,6 +10,7 @@ import functools
 import hashlib
 import math
 from collections import Counter, deque
+from operator import itemgetter
 
 from .errors import BudgetExceededError, _Budget
 from .graphs import Graph, _ir_search, _orbit
@@ -24,8 +25,9 @@ DEFAULT_ELEMENT_CAP = 200_000
 
 
 def _mul(a, b):
-    # apply a then b
-    return tuple(b[x] for x in a)
+    # apply a then b; itemgetter of one index returns a bare item, not a
+    # tuple, but the one permutation of degree <= 1 is the identity
+    return itemgetter(*a)(b) if len(a) > 1 else a
 
 
 def _inv(a):
@@ -216,8 +218,49 @@ class PermGroup:
     def fingerprint(self) -> tuple:
         """Abstract-isomorphism invariants used for catalog lookup.
 
-        One enumeration gives the order, the element-order counts and the
-        centre: the elements that commute with every generator.
+        The tuple is (order, element-order counts, abelian flag, centre
+        order, derived-subgroup order).  It is read from the orbit
+        constituents: the generators restricted to each orbit.  G embeds in
+        the product of its constituents, so G is that direct product when
+        the orders agree, and then every invariant combines from the
+        constituents' (Seress, *Permutation Group Algorithms*, 2003).  A
+        transitive group of degree k and order k! is Sym(k), counted by
+        cycle type.  Any other group is enumerated.
+        """
+        constituents = self._constituents()
+        if math.prod(c.order() for c in constituents) != self.order():
+            return self._enumerated_fingerprint()
+        return _product_fingerprint(
+            _symmetric_fingerprint(c.degree)
+            if c.order() == math.factorial(c.degree)
+            else c._enumerated_fingerprint()
+            for c in constituents
+        )
+
+    def _constituents(self) -> list[PermGroup]:
+        """The group restricted to each orbit of two or more points, relabelled."""
+        gens = self.generators
+        result = []
+        covered = 0
+        for p in range(self.degree):
+            if covered >> p & 1:
+                continue
+            orbit = _orbit([p], gens)
+            covered |= orbit
+            if orbit & (orbit - 1) == 0:
+                continue  # a fixed point
+            if orbit == (1 << self.degree) - 1:
+                return [self]  # transitive: its own constituent
+            points = [q for q in range(self.degree) if orbit >> q & 1]
+            index = {q: i for i, q in enumerate(points)}
+            restricted = [tuple(index[g[q]] for q in points) for g in gens]
+            result.append(PermGroup(len(points), restricted))
+        return result
+
+    def _enumerated_fingerprint(self) -> tuple:
+        """The fingerprint from one enumeration of the elements.
+
+        The centre is the set of elements that commute with every generator.
         """
         elements = self.elements()
         gens = self.generators
@@ -260,6 +303,54 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} generators={len(self.generators)}>"
+
+
+def _partitions(k: int, most: int):
+    """Partitions of k into parts of at most ``most``, largest part first."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, most), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
+
+
+@functools.cache
+def _symmetric_fingerprint(k: int) -> tuple:
+    """Fingerprint of Sym(k) from its cycle types.
+
+    Cycle type 1^m1 2^m2 ... has k! / prod(i^mi mi!) elements, each of
+    order lcm of the parts.  The centre is trivial except in Sym(2), and
+    the derived subgroup is Alt(k).
+    """
+    orders: Counter = Counter()
+    for parts in _partitions(k, k):
+        size = math.factorial(k)
+        for part, mult in Counter(parts).items():
+            size //= part**mult * math.factorial(mult)
+        orders[math.lcm(*parts)] += size
+    order = math.factorial(k)
+    return (order, tuple(sorted(orders.items())), k <= 2, 2 if k == 2 else 1, max(1, order // 2))
+
+
+def _product_fingerprint(fingerprints) -> tuple:
+    """Fingerprint of the direct product of groups with these fingerprints.
+
+    Orders, centres and derived subgroups multiply; the product is abelian
+    when every factor is; element orders combine by lcm.
+    """
+    order, orders, abelian, center, derived = 1, {1: 1}, True, 1, 1
+    for f_order, f_orders, f_abelian, f_center, f_derived in fingerprints:
+        combined: Counter = Counter()
+        for a, x in orders.items():
+            for b, y in f_orders:
+                combined[math.lcm(a, b)] += x * y
+        order *= f_order
+        orders = combined
+        abelian = abelian and f_abelian
+        center *= f_center
+        derived *= f_derived
+    return (order, tuple(sorted(orders.items())), abelian, center, derived)
 
 
 # ------------------------------------------------------- automorphism groups
@@ -359,7 +450,7 @@ def group_name(group: PermGroup) -> str:
     """Catalog name for small groups, a generic order-based label otherwise."""
     order = group.order()
     if order > DEFAULT_ELEMENT_CAP:
-        # the fingerprint enumerates every element; testing the cap here
+        # the fingerprint may enumerate every element; testing the cap here
         # instead of catching its error lets a wall-clock alarm through
         return f"G{order}"
     fp = group.fingerprint()

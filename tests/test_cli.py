@@ -106,6 +106,11 @@ def test_aut_command(capsys):
     for gen in payload["generators"]:
         assert Transformation.parse(gen).rank == 4
 
+    # K8: S8 is not in the catalog, so it keeps its opaque label
+    code, out, _ = run(capsys, "aut", "G~~~~{")
+    assert code == 0
+    assert out == "G40320#c8c451\torder=40320\n"
+
 
 def test_mingen_command(capsys):
     code, out, _ = run(capsys, "mingen", to_graph6(cycle(4)))

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -8,15 +10,19 @@ from kernelgraphs.groups import (
     PermGroup,
     _catalog,
     _catalog_specs,
+    _perm,
+    _symmetric_fingerprint,
     automorphism_group,
     group_name,
 )
 from kernelgraphs.graphs import (
+    cartesian_product,
     complement,
     complete,
     complete_multipartite,
     cycle,
     disjoint_union,
+    generate_all,
     hamming,
     null_graph,
     path,
@@ -240,3 +246,64 @@ def test_rook_complement_group_order():
     assert group.order() == 1152
     assert group.is_transitive()
     assert group.orbit_count_on_pairs() == 2
+
+
+def test_constituent_fingerprint_matches_enumeration_on_every_small_graph():
+    for n in range(1, 8):
+        for g in generate_all(n):
+            group = automorphism_group(g)
+            assert group.fingerprint() == group._enumerated_fingerprint(), g
+
+
+def test_constituent_fingerprint_matches_enumeration_on_named_graphs():
+    cases = [
+        (cartesian_product(cycle(5), cycle(5)), 200),  # transitive: enumerated
+        (hamming(4, 2), 384),  # transitive: enumerated
+        (union_complete([2] * 5), 3840),  # transitive: enumerated
+        (union_complete([3, 4]), 144),  # S3 x S4
+        (complete_multipartite([2, 2, 3]), 48),  # D8 (enumerated) x S3
+    ]
+    for g, order in cases:
+        group = automorphism_group(g)
+        fp = group.fingerprint()
+        assert fp[0] == order
+        assert fp == group._enumerated_fingerprint(), g
+
+
+def test_symmetric_fingerprint_matches_enumeration():
+    for k in range(1, 8):
+        sym = PermGroup(k, [_perm(k, (0, 1 % k)), _perm(k, tuple(range(k)))])
+        assert sym.order() == math.factorial(k)
+        assert _symmetric_fingerprint(k) == sym._enumerated_fingerprint(), k
+
+
+def test_products_of_symmetric_groups_are_fingerprinted_without_enumeration(monkeypatch):
+    def refuse(self, limit=None):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    assert group_name(automorphism_group(complete(8))) == "G40320#c8c451"
+    assert group_name(automorphism_group(union_complete([3, 4]))) == "S3xS4"
+    assert group_name(automorphism_group(union_complete([1, 2, 6]))) == "G1440#0d74f7"
+
+
+def name_order_digest(ns) -> str:
+    lines = []
+    for n in ns:
+        for g in generate_all(n):
+            group = automorphism_group(g)
+            lines.append(f"{group_name(group)} {group.order()}\n")
+    return hashlib.sha256("".join(lines).encode("ascii")).hexdigest()
+
+
+def test_group_names_and_orders_pinned_up_to_seven_vertices():
+    assert name_order_digest(range(1, 8)) == (
+        "69aa69142414d6c0a41ed98a73ee7e43eace5a6fb304526908f6eb45afb12819"
+    )
+
+
+@pytest.mark.slow
+def test_group_names_and_orders_pinned_on_eight_vertices():
+    assert name_order_digest([8]) == (
+        "902dd181bee0232609fcdfd58b2ee32e7157d9bf56caa458fe50e47642399e31"
+    )
