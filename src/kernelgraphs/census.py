@@ -298,7 +298,7 @@ def random_sync_trials(
     hits = 0
     for _ in range(trials):
         members = [
-            Transformation([rng.randrange(n) for _ in range(n)])
+            Transformation._of(tuple([rng.randrange(n) for _ in range(n)]))
             for _ in range(generators)
         ]
         if is_synchronizing(members):

@@ -10,10 +10,10 @@ import functools
 import hashlib
 import math
 from collections import Counter, deque
-from operator import itemgetter
 
 from .errors import BudgetExceededError, _Budget
 from .graphs import Graph, _ir_search, _orbit
+from .transform import _mul
 
 __all__ = [
     "PermGroup",
@@ -22,12 +22,6 @@ __all__ = [
 ]
 
 DEFAULT_ELEMENT_CAP = 200_000
-
-
-def _mul(a, b):
-    # apply a then b; itemgetter of one index returns a bare item, not a
-    # tuple, but the one permutation of degree <= 1 is the identity
-    return itemgetter(*a)(b) if len(a) > 1 else a
 
 
 def _inv(a):

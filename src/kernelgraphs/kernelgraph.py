@@ -32,14 +32,28 @@ __all__ = [
 
 
 class KernelGraphResult:
-    """Kernel graph plus the rank data that came out of the computation."""
+    """Kernel graph plus the rank data that came out of the computation.
 
-    __slots__ = ("graph", "min_rank", "kernels")
+    ``kernels`` holds the distinct kernels of the minimal-rank members,
+    sorted by blocks, or None when no member list was formed. For
+    ``kernel_graph`` they are partitioned on first access.
+    """
+
+    __slots__ = ("graph", "min_rank", "_kernels", "_members")
 
     def __init__(self, graph: Graph, min_rank: int | None, kernels):
         self.graph = graph
         self.min_rank = min_rank
-        self.kernels = kernels
+        self._kernels = kernels
+        self._members = None  # members whose minimal-rank kernels are not built yet
+
+    @property
+    def kernels(self):
+        if self._members is not None:
+            least = {t.kernel() for t in self._members if t.rank == self.min_rank}
+            self._kernels = tuple(sorted(least, key=lambda p: p.blocks))
+            self._members = None
+        return self._kernels
 
     def __repr__(self) -> str:
         return f"<KernelGraphResult n={self.graph.n} min_rank={self.min_rank}>"
@@ -69,9 +83,9 @@ def kernel_graph(members, n: int | None = None) -> KernelGraphResult:
             preimage[x] |= 1 << v
         for v, x in enumerate(t.images):
             adj[v] &= ~preimage[x]
-    min_rank = min(t.rank for t in members)
-    kernels = tuple(sorted({t.kernel() for t in members if t.rank == min_rank}, key=lambda p: p.blocks))
-    return KernelGraphResult(Graph.from_adj(adj), min_rank, kernels)
+    result = KernelGraphResult(Graph.from_adj(adj), min(t.rank for t in members), None)
+    result._members = members
+    return result
 
 
 def closure_kernel_graph(generators) -> KernelGraphResult:

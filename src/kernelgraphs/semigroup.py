@@ -6,11 +6,12 @@ first, then generator j.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from .errors import ClosureCapExceededError, _Budget
 from .graphs import Graph, _bits, _ir_search, _orbit
-from .transform import Transformation
+from .transform import Transformation, _mul
 
 __all__ = [
     "SemigroupClosure",
@@ -48,12 +49,15 @@ def _check_generators(generators) -> tuple[Transformation, ...]:
 
 
 class SemigroupClosure:
-    """All products of the generators, with word recovery."""
+    """All products of the generators, with word recovery.
+
+    ``parents`` maps each element's image tuple to the image tuple it was
+    reached from (None for a generator) and the generator index applied.
+    """
 
     def __init__(self, generators, elements, parents):
         self.generators = generators
         self.elements = elements
-        self.element_set = frozenset(elements)
         self.n = generators[0].n
         self._parents = parents
 
@@ -64,7 +68,11 @@ class SemigroupClosure:
         return iter(self.elements)
 
     def __contains__(self, t) -> bool:
-        return t in self.element_set
+        return isinstance(t, Transformation) and t.images in self._parents
+
+    @functools.cached_property
+    def element_set(self) -> frozenset[Transformation]:
+        return frozenset(self.elements)
 
     @property
     def min_rank(self) -> int:
@@ -76,14 +84,13 @@ class SemigroupClosure:
 
     def word_of(self, t: Transformation) -> list[int]:
         """Generator indices whose left-to-right product equals t."""
-        if t not in self._parents:
+        if t not in self:
             raise KeyError(f"{t} is not in the closure")
         word: list[int] = []
-        cur = t
+        cur = t.images
         while cur is not None:
-            prev, gen_index = self._parents[cur]
+            cur, gen_index = self._parents[cur]
             word.append(gen_index)
-            cur = prev
         word.reverse()
         return word
 
@@ -92,35 +99,36 @@ class SemigroupClosure:
 
 
 def close(generators, *, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
-    """Breadth-first closure of the generators under composition."""
+    """Breadth-first closure of the generators under composition.
+
+    The search runs on image tuples; each element is wrapped as a
+    Transformation once, in the order it was found.
+    """
     gens = _check_generators(generators)
-    parents: dict[Transformation, tuple[Transformation | None, int]] = {}
-    elements: list[Transformation] = []
-    queue: deque[Transformation] = deque()
-    for i, g in enumerate(gens):
+    images = [g.images for g in gens]
+    parents: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {}
+    found: list[tuple[int, ...]] = []  # the BFS queue, never popped
+    for i, g in enumerate(images):
         if g not in parents:
             parents[g] = (None, i)
-            elements.append(g)
-            queue.append(g)
-    while queue:
-        t = queue.popleft()
-        for i, g in enumerate(gens):
-            new = t * g
+            found.append(g)
+    for t in found:
+        for i, g in enumerate(images):
+            new = _mul(t, g)
             if new not in parents:
                 parents[new] = (t, i)
-                elements.append(new)
-                queue.append(new)
-                if len(elements) > cap:
-                    raise ClosureCapExceededError(cap, len(elements))
-    return SemigroupClosure(gens, elements, parents)
+                found.append(new)
+                if len(found) > cap:
+                    raise ClosureCapExceededError(cap, len(found))
+    return SemigroupClosure(gens, [*map(Transformation._of, found)], parents)
 
 
 def transformation_of_word(generators, word) -> Transformation:
     gens = _check_generators(generators)
-    result = Transformation.identity(gens[0].n)
+    result = tuple(range(gens[0].n))
     for i in word:
-        result = result * gens[i]
-    return result
+        result = _mul(result, gens[i].images)
+    return Transformation._of(result)
 
 
 # ----------------------------------------------------------- synchronization
@@ -464,8 +472,10 @@ def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
 
 
 def endomorphisms_iter(g: Graph, *, node_budget: int | None = None):
+    if g.n == 0:
+        raise ValueError("transformation on an empty point set")
     for images in homomorphisms_iter(g, g, node_budget=node_budget):
-        yield Transformation(images)
+        yield Transformation._of(images)
 
 
 def _quotient(g: Graph, block_of, k: int) -> Graph:
@@ -511,7 +521,7 @@ def _merging_endomorphism(
     """
     quotient, mapping = quotient_by_pair(g, u, v)
     images = _first_map(quotient, g, _Budget(node_budget, "homomorphism search"), roots)
-    return None if images is None else tuple(images[w] for w in mapping)
+    return None if images is None else _mul(mapping, images)
 
 
 def collapsible(g: Graph, u: int, v: int, *, node_budget: int | None = None) -> bool:

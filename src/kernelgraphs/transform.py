@@ -11,6 +11,8 @@ action that makes products of generator words read left to right.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import ParseError
 
 __all__ = [
@@ -41,6 +43,13 @@ class Transformation:
             if not 0 <= x < n:
                 raise ValueError(f"image value {x} outside 0..{n - 1}")
         object.__setattr__(self, "images", img)
+
+    @classmethod
+    def _of(cls, images: tuple[int, ...]) -> "Transformation":
+        """Wrap an image tuple that is valid by construction, unchecked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "images", images)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Transformation is immutable")
@@ -136,18 +145,26 @@ class Transformation:
     def power(self, k: int) -> "Transformation":
         if k < 1:
             raise ValueError("power requires k >= 1")
-        result = self
+        images = result = self.images
         for _ in range(k - 1):
-            result = compose(result, self)
-        return result
+            result = _mul(result, images)
+        return Transformation._of(result)
+
+
+def _mul(a, b):
+    """The image tuple of "apply a, then b", for image tuples on one point set.
+
+    itemgetter of one index returns a bare item, not a tuple, but the one
+    map of degree <= 1 is the identity.
+    """
+    return itemgetter(*a)(b) if len(a) > 1 else a
 
 
 def compose(f: Transformation, g: Transformation) -> Transformation:
     """Apply f first, then g."""
     if f.n != g.n:
         raise ValueError(f"point-set mismatch: {f.n} vs {g.n}")
-    gi = g.images
-    return Transformation([gi[x] for x in f.images])
+    return Transformation._of(_mul(f.images, g.images))
 
 
 def kernel_of_images(images) -> list[tuple[int, ...]]:

@@ -281,6 +281,18 @@ def test_random_sync_trials_deterministic_and_sampled_correctly():
     assert got["synchronizing"] == expected
 
 
+def test_random_sync_trials_pinned():
+    # counts from when every sampled map went through the checked constructor
+    for seed, hits in [(1, 9810), (2, 9833), (3, 9843), (20260822, 9828)]:
+        assert random_sync_trials(20, 10000, seed=seed) == {
+            "n": 20,
+            "trials": 10000,
+            "generators": 2,
+            "synchronizing": hits,
+            "fraction": hits / 10000,
+        }
+
+
 def test_random_sync_trials_rates():
     assert random_sync_trials(1, 10, generators=1, seed=0)["fraction"] == 1.0
     # random pairs on a small point set almost always synchronize

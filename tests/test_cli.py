@@ -148,6 +148,15 @@ def test_sync_check_word_is_replayable(tmp_path, capsys):
     assert "closure_size=" in out
 
 
+def test_sync_check_closure_of_the_full_transformation_monoid(tmp_path, capsys):
+    f = tmp_path / "t6.txt"
+    f.write_text("[2,3,4,5,6,1]\n[2,1,3,4,5,6]\n[2,2,3,4,5,6]\n")
+    code, out, _ = run(capsys, "sync-check", "--closure", str(f))
+    assert code == 0
+    assert out.startswith("synchronizing\tword=")
+    assert out.endswith("\tclosure_size=46656\n")
+
+
 def test_sync_check_negative(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[2,1,3]\n"))
     code, out, _ = run(capsys, "sync-check")
@@ -323,7 +332,8 @@ def test_budget_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "budget" in err
 
-    code, _, err = run(capsys, "--time-limit", "0.05", "census", "6", "--out", str(tmp_path))
+    # census 8 cannot finish in 0.05 s, even with the graphs already generated
+    code, _, err = run(capsys, "--time-limit", "0.05", "census", "8", "--out", str(tmp_path))
     assert code == 2
     assert "time" in err
 

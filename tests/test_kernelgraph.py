@@ -37,7 +37,7 @@ from kernelgraphs.semigroup import (
     endomorphisms_iter,
     min_rank_of_generators,
 )
-from kernelgraphs.transform import Transformation
+from kernelgraphs.transform import Partition, Transformation, kernel_of_images
 
 T = Transformation.parse
 
@@ -69,6 +69,24 @@ def test_kernel_graph_empty_members_is_complete():
     assert result.kernels == ()
     with pytest.raises(ValueError):
         kernel_graph([])
+
+
+def test_kernel_graph_kernels_built_on_demand_match_an_eager_reference():
+    rng = random.Random(55)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        members = [random_transformation(rng, n) for _ in range(rng.randint(1, 5))]
+        least = min(len(set(t.images)) for t in members)
+        eager = sorted(
+            {Partition(kernel_of_images(t.images), n=n) for t in members if len(set(t.images)) == least},
+            key=lambda p: p.blocks,
+        )
+        result = kernel_graph(members)
+        assert result.min_rank == least
+        assert result.kernels == tuple(eager)
+        assert result.kernels is result.kernels  # built once
+    assert kernel_graph([], n=5).kernels == ()
+    assert closure_kernel_graph([T("[2,3,1]"), T("[1,1,3]")]).kernels is None
 
 
 def test_kernel_graph_of_permutations_is_complete():

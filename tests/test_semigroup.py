@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -142,6 +143,78 @@ def test_closure_cap():
     with pytest.raises(ClosureCapExceededError) as info:
         close(gens, cap=10)
     assert info.value.limit == 10
+
+
+def full_transformation_generators(n: int) -> list[Transformation]:
+    # an n-cycle, a transposition and a rank n-1 map generate all of T_n
+    return [
+        Transformation([*range(1, n), 0]),
+        Transformation([1, 0, *range(2, n)]),
+        Transformation([1, 1, *range(2, n)]),
+    ]
+
+
+def pinned_generator_sets():
+    yield full_transformation_generators(5)
+    yield full_transformation_generators(6)
+    rng = random.Random("close-pin")
+    for _ in range(5):
+        n = rng.randint(4, 6)
+        yield [random_transformation(rng, n) for _ in range(rng.randint(1, 3))]
+
+
+# (size, SHA-256 prefix of the elements in order, of their words), computed
+# when the closure still composed Transformation objects one product at a time
+CLOSURE_PINS = [
+    (3125, "aff545d3ab13b611", "94bc72af028c04f5"),
+    (46656, "783ff05b9b81eefd", "6d157fa8abcf4700"),
+    (48, "c405f8bf487043a4", "9871fd2e10322bc9"),
+    (3, "26712c13c5cc22b0", "d6926ed8d86fe3ad"),
+    (265, "c82872720200444c", "7e47f7cb5e3a87c8"),
+    (946, "993b3cf256bd74f2", "d33a847784500850"),
+    (77, "64e06ad47fcaea68", "18736b3ccde575d8"),
+]
+
+
+def test_close_order_and_words_are_pinned():
+    for gens, (size, element_digest, word_digest) in zip(pinned_generator_sets(), CLOSURE_PINS):
+        c = close(gens)
+        words = [c.word_of(t) for t in c]
+        elements = " ".join(str(t) for t in c)
+        spelled = " ".join(",".join(map(str, w)) for w in words)
+        assert len(c) == size
+        assert hashlib.sha256(elements.encode()).hexdigest()[:16] == element_digest
+        assert hashlib.sha256(spelled.encode()).hexdigest()[:16] == word_digest
+        for t, word in zip(c, words):
+            assert transformation_of_word(gens, word) == t
+        assert c.element_set == frozenset(c.elements)
+        assert all(t in c for t in gens)
+
+
+def test_closure_membership_needs_a_transformation_on_its_points():
+    c = close(full_transformation_generators(4))
+    assert len(c) == 4**4
+    for outsider in (
+        (1, 0, 2, 3),
+        [1, 0, 2, 3],
+        "[2,1,3,4]",
+        None,
+        Transformation([1, 0, 2]),
+        Transformation([1, 0, 2, 3, 4]),
+    ):
+        assert outsider not in c
+        with pytest.raises(KeyError):
+            c.word_of(outsider)
+    assert Transformation([1, 0, 2, 3]) in c
+
+
+def test_closure_cap_reports_the_same_count():
+    # the generators are admitted before the cap is checked, as before
+    for cap, reached in [(0, 4), (1, 4), (2, 4), (10, 11), (1000, 1001)]:
+        with pytest.raises(ClosureCapExceededError) as info:
+            close(full_transformation_generators(5), cap=cap)
+        assert (info.value.limit, info.value.reached) == (cap, reached)
+    assert len(close(full_transformation_generators(5), cap=3125)) == 3125
 
 
 def test_close_rejects_bad_input():

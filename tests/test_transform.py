@@ -243,3 +243,29 @@ def test_parse_transformation_lines_columns_count_from_the_line_start():
         with pytest.raises(ParseError) as err:
             parse_transformation_lines(lines)
         assert (err.value.line, err.value.column) == where, lines
+
+
+def test_products_are_checked_at_the_boundary_only():
+    # the constructor and compose still refuse bad or mismatched input
+    for bad in ([], [0, 2], [-1, 0], ["x", 0]):
+        with pytest.raises(ValueError):
+            Transformation(bad)
+    with pytest.raises(ValueError):
+        compose(Transformation([0, 1]), Transformation([0, 1, 2]))
+    with pytest.raises(ValueError):
+        Transformation([1, 0]) * Transformation([0, 0, 0])
+    # the unchecked products equal the pointwise oracle and stay plain int tuples
+    rng = random.Random(104)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        f = Transformation([rng.randrange(n) for _ in range(n)])
+        g = Transformation([rng.randrange(n) for _ in range(n)])
+        for product in (f * g, compose(f, g), f.then(g)):
+            assert type(product.images) is tuple and product.images == oracle_compose(f, g)
+            assert Transformation(product.images) == product
+            assert hash(product) == hash(Transformation(product.images))
+        k = rng.randint(1, 5)
+        power = f
+        for _ in range(k - 1):
+            power = Transformation(oracle_compose(power, f))
+        assert f.power(k) == power
