@@ -9,7 +9,7 @@ The graph6 text format is the interchange format throughout the package.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import ParseError, UnsupportedParameterError, _Budget
 
@@ -184,15 +184,7 @@ def path(n: int) -> Graph:
 
 def complete_multipartite(parts) -> Graph:
     """Parts are consecutive vertex blocks; edges join distinct parts."""
-    sizes = list(parts)
-    n = sum(sizes)
-    part_of = []
-    for i, s in enumerate(sizes):
-        part_of.extend([i] * s)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if part_of[u] != part_of[v]
-    ]
-    return Graph(n, edges)
+    return complement(union_complete(parts))
 
 
 def union_complete(parts) -> Graph:
@@ -216,41 +208,21 @@ def disjoint_union(g: Graph, copies: int) -> Graph:
     return Graph(copies * g.n, edges)
 
 
-def _tuple_index(coords, n: int) -> int:
-    # big-endian: first coordinate most significant
-    idx = 0
-    for c in coords:
-        idx = idx * n + c
-    return idx
-
-
 def hamming(m: int, n: int) -> Graph:
-    """H(m,n): words of length m over n symbols, adjacent at Hamming distance 1."""
+    """H(m,n): words of length m over n symbols, adjacent at Hamming distance 1.
+
+    The m-fold Cartesian power of K_n, first coordinate most significant.
+    """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    verts = list(itertools.product(range(n), repeat=m))
-    edges = []
-    for a in verts:
-        ia = _tuple_index(a, n)
-        for pos in range(m):
-            for s in range(a[pos] + 1, n):
-                b = a[:pos] + (s,) + a[pos + 1 :]
-                edges.append((ia, _tuple_index(b, n)))
-    return Graph(n**m, edges)
+    return reduce(cartesian_product, [complete(n)] * m)
 
 
 def categorical_power(r: int, m: int) -> Graph:
     """m-fold categorical power of K_r: adjacent iff all coordinates differ."""
     if r < 2 or m < 1:
         raise ValueError("need r >= 2 and m >= 1")
-    verts = list(itertools.product(range(r), repeat=m))
-    edges = []
-    for i, a in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            b = verts[j]
-            if all(x != y for x, y in zip(a, b)):
-                edges.append((i, j))
-    return Graph(r**m, edges)
+    return reduce(categorical_product, [complete(r)] * m)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

@@ -19,6 +19,7 @@ from .semigroup import (
     _pair_collapse_table,
     min_rank_of_generators,
 )
+from .transform import kernel_of_images
 
 __all__ = [
     "KernelGraphResult",
@@ -104,15 +105,6 @@ def closure_kernel_graph(generators) -> KernelGraphResult:
     return KernelGraphResult(Graph(n, edges), min_rank_of_generators(gens), None)
 
 
-def _merged_pairs(images):
-    """Pairs (u, v), u < v, that the map with these images sends to one point."""
-    classes: dict[int, list[int]] = {}
-    for x, y in enumerate(images):
-        classes.setdefault(y, []).append(x)
-    for members in classes.values():
-        yield from itertools.combinations(members, 2)
-
-
 def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
     """Non-adjacent pairs (u, v), u < v, that no endomorphism of g merges, ascending.
 
@@ -145,8 +137,9 @@ def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
                 if images is None:
                     verdict[label] = False
                 else:
-                    for p in _merged_pairs(images):
-                        verdict[orbit.get(p, p)] = True
+                    for block in kernel_of_images(images):
+                        for p in itertools.combinations(block, 2):
+                            verdict[orbit.get(p, p)] = True
             if not verdict[label]:
                 yield u, v
 

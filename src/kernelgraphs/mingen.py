@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .designs import MAX_FIELD_ORDER, FiniteField, _prime_power, mols_complete
 from .errors import (
-    BudgetExceededError,
     KernelGraphsError,
     NotAHullError,
     UnsupportedParameterError,
@@ -217,6 +216,11 @@ def _counting_lower_bound(n_vertices: int, nonedge_count: int, alpha: int) -> in
 
 # ------------------------------------------------------ disjoint single edges
 
+# the largest anchor whose refutation finishes: 3 partitions at 5 edges take
+# 20,721 nodes, while 4 partitions at 9 edges, the next anchor, have never
+# finished, even at 2,000,000 nodes
+_MATCHING_ANCHOR = 5
+
 
 def matching_generators(copies: int) -> GeneratingSet:
     """Generators for a disjoint union of edges on vertex pairs (2i, 2i+1).
@@ -240,14 +244,8 @@ def matching_generators(copies: int) -> GeneratingSet:
             images[2 * i + 1] = 1 - bit
         maps.append(Transformation(images))
     _check_regenerates(g, tuple(maps))
-    try:
-        # about 5x the largest refutation that finishes (20,721 nodes at 5-8
-        # edges); the one at 9 edges has never finished, even at 2,000,000
-        lb = matching_minimum_size(copies, node_budget=100_000)
-    except BudgetExceededError:
-        # bounds carry upward: a cover of these edges also covers any
-        # 2^(r-2)+1 of them, so their minimum is a lower bound here
-        lb = matching_generators(2 ** (r - 2) + 1).lower_bound
+    # bounds carry upward: a cover of these edges also covers any fewer of them
+    lb = matching_minimum_size(min(copies, _MATCHING_ANCHOR))
     return GeneratingSet(tuple(maps), lb == r + 1, lb, "binary-rows")
 
 
@@ -326,7 +324,8 @@ def matching_minimum_size(copies: int, *, node_budget: int | None = None) -> int
 
     The binary-rows construction gives the upper bound; the lower bound is a
     refutation at the smallest edge count of the same ceiling, which carries
-    upward because dropping edges keeps any cover working.
+    upward because dropping edges keeps any cover working. From 9 edges on
+    the refutation has not been seen to finish, so pass ``node_budget`` there.
     """
     if copies < 1:
         raise ValueError("need at least one edge")

@@ -134,6 +134,33 @@ def test_constructors_counts():
     assert all(are_isomorphic(du.induced(c), cycle(5)) for c in comps)
 
 
+def _word_graph(symbols, length, adjacent):
+    """Words over range(symbols), first letter most significant, joined by adjacent."""
+    words = list(itertools.product(range(symbols), repeat=length))
+    pairs = itertools.combinations(range(len(words)), 2)
+    return Graph(len(words), [(i, j) for i, j in pairs if adjacent(words[i], words[j])])
+
+
+def test_product_families_match_their_definitions():
+    def distance_one(a, b):
+        return sum(x != y for x, y in zip(a, b)) == 1
+
+    def all_differ(a, b):
+        return all(x != y for x, y in zip(a, b))
+
+    for m in range(1, 5):
+        for n in range(1, 6):
+            assert hamming(m, n) == _word_graph(n, m, distance_one)
+    for r in range(2, 6):
+        for m in range(1, 4):
+            assert categorical_power(r, m) == _word_graph(r, m, all_differ)
+    for parts in ([], [1], [3], [2, 2], [1, 2, 3], [3, 1, 1], [2, 0, 2], [1] * 5):
+        part_of = [i for i, s in enumerate(parts) for _ in range(s)]
+        pairs = itertools.combinations(range(len(part_of)), 2)
+        want = Graph(len(part_of), [(u, v) for u, v in pairs if part_of[u] != part_of[v]])
+        assert complete_multipartite(parts) == want
+
+
 def test_complement_involution():
     rng = random.Random(7)
     for _ in range(50):

@@ -309,6 +309,11 @@ def test_iterated_hull_stabilizes_in_one_step():
         assert steps <= 1
         assert is_hull(fixed)
     assert iterated_hull(complete(5)) == (complete(5), 0)
+    graphs = [g for n in range(1, 7) for g in generate_all(n)]
+    assert len(graphs) == 208
+    for g in graphs:
+        h = hull(g)
+        assert hull(h) == h and is_hull(h)
 
 
 def test_hull_counts_small():

@@ -318,19 +318,21 @@ def test_matching_budget_is_exact(monkeypatch):
     assert matching_minimum_size(5, node_budget=20721) == 4
 
 
-def test_matching_bound_carries_upward_when_refutation_runs_out(monkeypatch):
-    real = mingen.matching_minimum_size
+def test_matching_refutes_nothing_above_five_edges(monkeypatch):
+    # from 9 edges on the bound is carried from 5 edges, never searched for
+    refuted = []
+    real = mingen._matching_refuted
 
-    def out_of_budget(copies, *, node_budget=None):
-        if copies >= 9:
-            raise BudgetExceededError("search nodes", node_budget, "matching refutation")
-        return real(copies, node_budget=node_budget)
+    def recording(copies, k, *, node_budget=None):
+        refuted.append(copies)
+        return real(copies, k, node_budget=node_budget)
 
-    monkeypatch.setattr(mingen, "matching_minimum_size", out_of_budget)
-    gs = matching_generators(9)
-    # 5 edges need 4 members, and dropping edges keeps a cover working
-    assert gs.lower_bound == 4 and gs.minimal is False
-    assert gs.size == 5
+    monkeypatch.setattr(mingen, "_matching_refuted", recording)
+    for copies in (9, 16, 17, 32):
+        gs = matching_generators(copies)
+        assert gs.size == (copies - 1).bit_length() + 1
+        assert gs.lower_bound == 4 and gs.minimal is False
+    assert refuted and max(refuted) <= 5
 
 
 def test_matching_nine_keeps_the_carried_bound():
