@@ -552,14 +552,16 @@ def _wl_colors(neighbors, colors: list[int]) -> list[int]:
 
 def _orbit(points, generators) -> int:
     """Bitset of the orbit of ``points`` under the group the generators span."""
-    orbit = 0
     frontier = list(points)
-    while frontier:
-        p = frontier.pop()
-        if orbit >> p & 1:
-            continue
+    orbit = 0
+    for p in frontier:
         orbit |= 1 << p
-        frontier.extend(gen[p] for gen in generators)
+    for p in frontier:
+        for gen in generators:
+            q = gen[p]
+            if not orbit >> q & 1:
+                orbit |= 1 << q
+                frontier.append(q)
     return orbit
 
 

@@ -315,35 +315,33 @@ def _bfs_order(g: Graph, component) -> list[int]:
     start = max(component, key=lambda v: g.adj[v].bit_count())
     order = [start]
     seen = 1 << start
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in _bits(g.adj[v]):
-            if not seen >> u & 1:
-                seen |= 1 << u
-                order.append(u)
-                queue.append(u)
+    for v in order:
+        new = g.adj[v] & ~seen
+        order.extend(_bits(new))
+        seen |= new
     return order
 
 
 def _earlier_neighbors(g: Graph, order) -> list[list[int]]:
     # each vertex's neighbors that come earlier in order
-    pos = {v: i for i, v in enumerate(order)}
     result = []
-    for i, v in enumerate(order):
-        result.append([u for u in _bits(g.adj[v]) if pos[u] < i])
+    placed = 0
+    for v in order:
+        result.append([*_bits(g.adj[v] & placed)])
+        placed |= 1 << v
     return result
 
 
-def _maps(g: Graph, h: Graph, order, budget: _Budget, roots: int | None = None):
+def _maps(g: Graph, h: Graph, order, budget: _Budget, roots: int | None = None, seconds=None):
     """Every homomorphism from the vertices in ``order`` into h.
 
     Assigns vertices in order, lowest candidate first, ticking the budget
     once per inner search node. ``roots`` is the bitset of candidate images
     for the first vertex in ``order``, all of h by default; the other
-    vertices take any image their earlier neighbors allow. Yields one shared
-    list indexed by g's vertices, overwritten as the search goes on;
-    vertices outside ``order`` keep image 0.
+    vertices take any image their earlier neighbors allow. ``seconds``, when
+    given, maps each first image to a bitset that also limits the second
+    vertex's images. Yields one shared list indexed by g's vertices, changed
+    in place as the search goes on; vertices outside ``order`` keep image 0.
     """
     images = [0] * g.n
     depth = len(order)
@@ -353,41 +351,73 @@ def _maps(g: Graph, h: Graph, order, budget: _Budget, roots: int | None = None):
     earlier = _earlier_neighbors(g, order)
     hadj = h.adj
     full = (1 << h.n) - 1
-    stack = [0] * depth  # candidates not yet tried at each level
+    stack = [0] * depth  # candidates not yet tried at each level below the first
     budget.tick()
-    stack[0] = full if roots is None else roots
-    i = 0
-    while i >= 0:
-        cand = stack[i]
-        if not cand:
-            i -= 1
-            continue
-        low = cand & -cand
-        stack[i] = cand ^ low
-        images[order[i]] = low.bit_length() - 1
-        if i + 1 == depth:
+    for root in _bits(full if roots is None else roots):
+        images[order[0]] = root
+        if depth == 1:
             yield images
             continue
-        i += 1
         budget.tick()
-        cand = full
-        for u in earlier[i]:
+        cand = full if seconds is None else seconds[root]
+        for u in earlier[1]:
             cand &= hadj[images[u]]
+        stack[1] = cand
+        i = 1
+        while i:
+            cand = stack[i]
             if not cand:
-                break
-        stack[i] = cand
+                i -= 1
+                continue
+            low = cand & -cand
+            stack[i] = cand ^ low
+            images[order[i]] = low.bit_length() - 1
+            if i + 1 == depth:
+                yield images
+                continue
+            i += 1
+            budget.tick()
+            cand = full
+            for u in earlier[i]:
+                cand &= hadj[images[u]]
+                if not cand:
+                    break
+            stack[i] = cand
 
 
-def _orbit_roots(n: int, generators) -> dict[int, int]:
-    """The least point of each orbit of the group the generators span, mapped to its size."""
+def _orbit_roots(n: int, generators, within: int | None = None) -> dict[int, int]:
+    """The least point of each orbit in ``within`` (all points by default), mapped to the orbit."""
     roots: dict[int, int] = {}
-    seen = 0
-    for v in range(n):
-        if not seen >> v & 1:
-            orbit = _orbit([v], generators)
-            seen |= orbit
-            roots[v] = orbit.bit_count()
+    left = (1 << n) - 1 if within is None else within
+    while left:
+        v = (left & -left).bit_length() - 1
+        roots[v] = orbit = _orbit([v], generators)
+        left &= ~orbit
     return roots
+
+
+def _stabilizer_orbits(n: int, r: int, generators, within: int) -> dict[int, int]:
+    """The orbits of r's stabilizer that make up ``within``, as ``_orbit_roots`` gives them.
+
+    With u_p a product of generators taking r to p, the maps u_p s u_s(p)^-1
+    over the generators s and the points p of r's orbit span the stabilizer
+    (Schreier's lemma). They are collected until ``within`` is one orbit.
+    """
+    stabilizer: list[tuple[int, ...]] = []
+    transversal = {r: tuple(range(n))}
+    orbit = within & -within
+    for p in (queue := [r]):
+        for s in generators:
+            t = _mul(transversal[p], s)
+            if (u := transversal.get(s[p])) is None:
+                transversal[s[p]] = t
+                queue.append(s[p])
+            elif t != u:
+                stabilizer.append(t := _mul(t, tuple(sorted(range(n), key=u.__getitem__))))
+                if any(not orbit >> t[v] & 1 for v in _bits(orbit)):
+                    if (orbit := _orbit(_bits(orbit), stabilizer)) == within:
+                        return {(orbit & -orbit).bit_length() - 1: orbit}
+    return _orbit_roots(n, stabilizer, within)
 
 
 def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -> int:
@@ -397,7 +427,8 @@ def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -
     stay cheap. Every vertex of h is tried as the first image of each
     component: for a general target, searching Aut(h) first to skip the
     repeated root subtrees costs more than it saves (K3 -> K60 went about
-    ten times slower in a trial). ``count_endomorphisms`` does skip them.
+    ten times slower in a trial). ``count_endomorphisms`` skips them, and
+    prunes the second image by the root's stabilizer and isomorphic components.
     """
     if g.n == 0:
         return 1
@@ -451,23 +482,40 @@ def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
 
     An automorphism s maps the endomorphisms that send a component's first
     vertex to x one-to-one onto those that send it to s(x). So after one
-    automorphism search, each component tries only the least vertex of each
-    orbit as its first image and weights every map it finds by the size of
-    that orbit; the counts multiply over the components as in
-    ``count_homomorphisms``. ``node_budget`` caps the automorphism search
-    and the count together, and the error names the stage that ran out.
+    automorphism search, each component's first vertex tries only the least
+    vertex r of each orbit, and its second, a neighbor of the first, only the
+    least vertex x of each orbit of r's stabilizer; each map found weighs the
+    size of r's orbit times that of x's. Components whose vertices share an
+    orbit are isomorphic: one per class is counted, and the counts multiply as
+    in ``count_homomorphisms``. ``node_budget`` caps the automorphism search and
+    the count together, and the error names the stage that ran out.
     """
     if g.n == 0:
         return 1
     budget = _Budget(node_budget, "automorphism search")
-    size = _orbit_roots(g.n, _ir_search(g, budget)[1])
+    generators = _ir_search(g, budget)[1]
     budget.what = "homomorphism count"
-    roots = sum(1 << r for r in size)
-    total = 1
+    orbits = _orbit_roots(g.n, generators)
+    label = {v: r for r, orbit in orbits.items() for v in _bits(orbit)}
+    weight, seconds = {}, {}  # root r -> weight of each second image x, and the bitset of those x
+    for r, orbit in orbits.items():
+        near = g.adj[r]
+        weight[r] = w = [orbit.bit_count()] * g.n
+        if len(set(map(label.__getitem__, _bits(near)))) < near.bit_count():  # else each is fixed
+            stabilizer = _stabilizer_orbits(g.n, r, generators, near)
+            near = sum(1 << x for x in stabilizer)
+            for x, o in stabilizer.items():
+                w[x] *= o.bit_count()
+        seconds[r] = near
+    classes: dict[int, list[tuple[int, ...]]] = {}  # least orbit label -> isomorphic components
     for comp in g.components():
-        order = _bfs_order(g, comp)
-        first = order[0]
-        total *= sum(size[images[first]] for images in _maps(g, g, order, budget, roots))
+        classes.setdefault(min(map(label.__getitem__, comp)), []).append(comp)
+    total = 1
+    for comps in classes.values():
+        order = _bfs_order(g, comps[0])
+        a, b = order[0], order[len(order) > 1]  # a lone vertex weighs weight[r][r], r's orbit size
+        maps = _maps(g, g, order, budget, sum(1 << r for r in orbits), seconds)
+        total *= sum(weight[m[a]][m[b]] for m in maps) ** len(comps)
     return total
 
 

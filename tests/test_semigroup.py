@@ -7,9 +7,11 @@ import pytest
 from kernelgraphs.errors import BudgetExceededError, ClosureCapExceededError, _Budget
 from kernelgraphs.graphs import (
     Graph,
+    _bits,
     _ir_search,
     cartesian_product,
     complete,
+    complete_multipartite,
     cycle,
     disjoint_union,
     generate_all,
@@ -18,12 +20,14 @@ from kernelgraphs.graphs import (
     path,
     union_complete,
 )
+from kernelgraphs.groups import automorphism_group
 from kernelgraphs.semigroup import (
     _collapse,
     _merging_endomorphism,
     _orbit_roots,
     _pair_collapse_table,
     _quotient,
+    _stabilizer_orbits,
     close,
     collapsible,
     collapsible_pairs,
@@ -375,6 +379,64 @@ def test_endomorphism_counts_of_the_families():
     assert count_endomorphisms(hamming(3, 3)) == 5832
 
 
+def test_endomorphism_count_matches_homomorphism_count_up_to_7():
+    # count_homomorphisms(g, g) tries every root and every second image
+    graphs = [g for n in range(1, 8) for g in generate_all(n)]
+    assert len(graphs) == 1252
+    for g in graphs:
+        assert count_endomorphisms(g) == count_homomorphisms(g, g), g
+
+
+def _union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+PETERSEN = Graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(i + 5, (i + 2) % 5 + 5) for i in range(5)],
+)
+
+
+@pytest.mark.parametrize(
+    "g, count",
+    [
+        (PETERSEN, 120),
+        (complete_multipartite([3, 3]), 1458),
+        (hamming(3, 2), 5304),
+        (_union(cycle(5), cycle(5), path(3)), 18400),
+        (_union(complete(2), null_graph(6)), 524_288),
+        (complete(8), 40320),
+        (hamming(4, 2), 26_222_848),
+    ],
+    ids=["Petersen", "K33", "Q3", "C5+C5+P3", "K2+6K1", "K8", "Q4"],
+)
+def test_endomorphism_counts_pinned(g, count):
+    # each count was checked with count_homomorphisms(g, g), which prunes nothing
+    assert count_endomorphisms(g) == count
+
+
+def test_stabilizer_orbits_match_brute_force():
+    for n in range(1, 7):
+        for g in generate_all(n):
+            generators = _ir_search(g, _Budget(None, "automorphism search"))[1]
+            elements = automorphism_group(g).elements()
+            for r in _orbit_roots(n, generators):
+                fixing = [a for a in elements if a[r] == r]
+                orbit_of = {v: sum(1 << w for w in {a[v] for a in fixing}) for v in range(n)}
+                for within in ((1 << n) - 1, g.adj[r]):
+                    expected = {}
+                    for v in _bits(within):
+                        expected.setdefault(orbit_of[v], v)
+                    expected = {v: orbit for orbit, v in expected.items()}
+                    assert _stabilizer_orbits(n, r, generators, within) == expected, (g, r)
+
+
 def test_merging_endomorphism_unchanged_by_orbit_roots():
     for n in range(2, 7):
         for g in generate_all(n):
@@ -433,13 +495,15 @@ C8_MERGED = quotient_by_pair(C8, 0, 2)[0]
 # merged into one engine. The count rows were re-recorded when
 # count_endomorphisms began to search Aut(G) first and root each component
 # only at orbit minima: they now include the automorphism search's nodes and
-# fell from 1,017 / 275,396 / 536.
+# fell from 1,017 / 275,396 / 536. They were re-recorded again when the second
+# vertex of each component began to try only the least vertex of each orbit of
+# the root's stabilizer, and fell from 134 / 42,947 / 391.
 @pytest.mark.parametrize(
     "search, nodes, result",
     [
-        (lambda b: count_endomorphisms(C8, node_budget=b), 134, 576),
-        (lambda b: count_endomorphisms(C5P3, node_budget=b), 42947, 340),
-        (lambda b: count_endomorphisms(C8_MERGED, node_budget=b), 391, 398),
+        (lambda b: count_endomorphisms(C8, node_budget=b), 71, 576),
+        (lambda b: count_endomorphisms(C5P3, node_budget=b), 24477, 340),
+        (lambda b: count_endomorphisms(C8_MERGED, node_budget=b), 307, 398),
         (lambda b: exists_homomorphism(C8, complete(3), node_budget=b), 8, True),
         (lambda b: exists_homomorphism(C5P3, C8, node_budget=b), 3129, False),
         (lambda b: exists_homomorphism(C8_MERGED, C8, node_budget=b), 7, True),
