@@ -1,8 +1,9 @@
 """Hulls of the standard families, ending with the product-graph surprise.
 
-The last section recomputes the hull of C5 box C5 from scratch: of its 250
+The C5 box C5 section recomputes its hull from scratch: of its 250
 non-edges, three are searched, and the endomorphisms found and the graph's
-automorphisms settle the rest.
+automorphisms settle the rest. The last section takes the larger tori
+C6 box C6 and C7 box C7.
 """
 
 import time
@@ -55,3 +56,14 @@ print(f"  isomorphic to the rook complement: {are_isomorphic(h, rook_complement)
 # The isomorphism is the diagonal relabeling (i, j) -> (i + j, i - j) mod 5.
 tau = [5 * ((v // 5 + v % 5) % 5) + ((v // 5 - v % 5) % 5) for v in range(25)]
 print(f"  diagonal relabeling carries the hull onto it: {h.relabel(tau) == rook_complement}")
+
+# A connected bipartite graph folds onto an edge: the hull joins exactly the
+# vertices of opposite sides. Vertex (i, j) of the torus lies on side (i + j) mod 2.
+print("\nLarger tori:")
+torus = cartesian_product(cycle(6), cycle(6))
+by_side = sorted(range(36), key=lambda v: ((v // 6 + v % 6) % 2, v))
+k18_18 = complete_multipartite([18, 18]).relabel(by_side)
+print("  hull(C6 box C6) = K18,18 on the two sides:", hull(torus, node_budget=2_000_000) == k18_18)
+start = time.perf_counter()
+h = hull(cartesian_product(cycle(7), cycle(7)), node_budget=2_000_000)
+print(f"  hull(C7 box C7) computed in {time.perf_counter() - start:.3f}s: {h.edge_count} edges")

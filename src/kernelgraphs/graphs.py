@@ -388,15 +388,15 @@ def k_color(
                     return None
                 forbidden[u] |= 1 << c
     budget = _Budget(node_budget, "coloring search")
+    degree = [a.bit_count() for a in adj]
 
     def choose() -> int:
         bestv, key = -1, (-1, -1)
         for v in range(n):
             if color[v] < 0:
-                sat = forbidden[v].bit_count()
-                deg = adj[v].bit_count()
-                if (sat, deg) > key:
-                    key = (sat, deg)
+                rank = (forbidden[v].bit_count(), degree[v])
+                if rank > key:
+                    key = rank
                     bestv = v
         return bestv
 

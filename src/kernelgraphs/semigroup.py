@@ -311,78 +311,108 @@ def min_rank_of_generators(generators) -> int:
 
 # ----------------------------------------------------- homomorphism searching
 
-def _bfs_order(g: Graph, component) -> list[int]:
-    start = max(component, key=lambda v: g.adj[v].bit_count())
-    order = [start]
-    seen = 1 << start
-    for v in order:
-        new = g.adj[v] & ~seen
-        order.extend(_bits(new))
-        seen |= new
+def _order(g: Graph, component) -> list[int]:
+    """The component's vertices, most-connected first.
+
+    Starts at a vertex of maximum degree, then repeatedly takes the vertex
+    with the most neighbors already placed, breaking ties by higher degree,
+    then by lower index. So every vertex after the first has a placed
+    neighbor; in particular the second is a neighbor of the first.
+    """
+    adj = g.adj
+    degree = {v: adj[v].bit_count() for v in component}
+    placed = dict.fromkeys(component, 0)  # unplaced vertex -> its placed neighbors
+    order = []
+    while placed:
+        v = max(placed, key=lambda u: (placed[u], degree[u], -u))
+        del placed[v]
+        order.append(v)
+        for u in _bits(adj[v]):
+            if u in placed:
+                placed[u] += 1
     return order
 
 
-def _earlier_neighbors(g: Graph, order) -> list[list[int]]:
-    # each vertex's neighbors that come earlier in order
-    result = []
-    placed = 0
-    for v in order:
-        result.append([*_bits(g.adj[v] & placed)])
-        placed |= 1 << v
-    return result
-
-
 def _maps(g: Graph, h: Graph, order, budget: _Budget, roots: int | None = None, seconds=None):
-    """Every homomorphism from the vertices in ``order`` into h.
+    """Every homomorphism from the vertices in ``order`` into h, by forward checking.
 
-    Assigns vertices in order, lowest candidate first, ticking the budget
-    once per inner search node. ``roots`` is the bitset of candidate images
-    for the first vertex in ``order``, all of h by default; the other
-    vertices take any image their earlier neighbors allow. ``seconds``, when
-    given, maps each first image to a bitset that also limits the second
-    vertex's images. Yields one shared list indexed by g's vertices, changed
-    in place as the search goes on; vertices outside ``order`` keep image 0.
+    Each vertex in ``order`` keeps a bitset domain over h. Assigning a vertex
+    an image x ANDs x's neighborhood into the domain of each later neighbor,
+    and the image is dropped at once when one of those domains runs empty;
+    so every image a vertex is offered agrees with all its earlier neighbors.
+    Each level works on a copy of the domains of the level above; an undo
+    trail in their place was slower in a trial, on Q4's count and on the hull
+    of C5 box C7. The last vertex's images are read off its domain with no
+    copy, since a count such as Q4's has about as many leaves as inner nodes.
+    Vertices take their images in order, lowest first, and the budget ticks
+    once per inner search node entered. ``roots`` is the first vertex's
+    domain, all of h by default. ``seconds``, when given, maps each first
+    image to a bitset that also limits the second vertex's images. Yields one
+    shared list indexed by g's vertices, changed in place as the search goes
+    on; vertices outside ``order`` keep image 0.
     """
     images = [0] * g.n
     depth = len(order)
     if depth == 0:
         yield images
         return
-    earlier = _earlier_neighbors(g, order)
-    hadj = h.adj
+    tick = budget.tick
+    tick()
     full = (1 << h.n) - 1
-    stack = [0] * depth  # candidates not yet tried at each level below the first
-    budget.tick()
-    for root in _bits(full if roots is None else roots):
-        images[order[0]] = root
-        if depth == 1:
+    first = full if roots is None else roots
+    if depth == 1:
+        for images[order[0]] in _bits(first):
             yield images
+        return
+    position = {v: i for i, v in enumerate(order)}
+    later = [
+        [position[u] for u in _bits(g.adj[v]) if position[u] > i] for i, v in enumerate(order)
+    ]
+    hadj = h.adj
+    last, leaf = depth - 2, order[-1]
+    domains = [None] * depth  # each level's domains, as they stood when it was entered
+    domains[0] = [first] + [full] * (depth - 1)
+    stack = [0] * depth  # candidates not yet tried at each level
+    stack[0] = first
+    i = 0
+    while i >= 0:
+        cand = stack[i]
+        if not cand:
+            i -= 1
             continue
-        budget.tick()
-        cand = full if seconds is None else seconds[root]
-        for u in earlier[1]:
-            cand &= hadj[images[u]]
-        stack[1] = cand
-        i = 1
-        while i:
-            cand = stack[i]
-            if not cand:
-                i -= 1
-                continue
-            low = cand & -cand
-            stack[i] = cand ^ low
-            images[order[i]] = low.bit_length() - 1
-            if i + 1 == depth:
-                yield images
-                continue
+        low = cand & -cand
+        stack[i] = cand ^ low
+        x = low.bit_length() - 1
+        images[order[i]] = x
+        near = hadj[x]
+        if i == last:  # only the leaf is left, and each image in its domain is a map
+            cand = domains[i][-1]
+            if later[i]:
+                cand &= near
+            if not i and seconds is not None:
+                cand &= seconds[x]
+            if cand:
+                tick()
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    images[leaf] = low.bit_length() - 1
+                    yield images
+            continue
+        domain = domains[i][:]
+        for j in later[i]:
+            if not (d := domain[j] & near):
+                break
+            domain[j] = d
+        else:
+            if not i and seconds is not None:
+                domain[1] &= seconds[x]
+                if not domain[1]:
+                    continue
+            tick()
             i += 1
-            budget.tick()
-            cand = full
-            for u in earlier[i]:
-                cand &= hadj[images[u]]
-                if not cand:
-                    break
-            stack[i] = cand
+            domains[i] = domain
+            stack[i] = domain[i]
 
 
 def _orbit_roots(n: int, generators, within: int | None = None) -> dict[int, int]:
@@ -435,7 +465,7 @@ def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -
     budget = _Budget(node_budget, "homomorphism count")
     total = 1
     for comp in g.components():
-        total *= sum(1 for _ in _maps(g, h, _bfs_order(g, comp), budget))
+        total *= sum(1 for _ in _maps(g, h, _order(g, comp), budget))
         if total == 0:
             return 0
     return total
@@ -454,7 +484,7 @@ def _first_map(g: Graph, h: Graph, budget: _Budget, roots=None) -> list[int] | N
     """
     images = [0] * g.n
     for comp in g.components():
-        order = _bfs_order(g, comp)
+        order = _order(g, comp)
         found = next(_maps(g, h, order, budget, roots), None)
         if found is None:
             return None
@@ -471,7 +501,7 @@ def homomorphisms_iter(g: Graph, h: Graph, *, node_budget: int | None = None):
     """Yield every homomorphism g -> h as an image tuple over g's vertices."""
     order: list[int] = []
     for comp in g.components():
-        order.extend(_bfs_order(g, comp))
+        order.extend(_order(g, comp))
     budget = _Budget(node_budget, "homomorphism enumeration")
     for images in _maps(g, h, order, budget):
         yield tuple(images)
@@ -482,13 +512,15 @@ def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
 
     An automorphism s maps the endomorphisms that send a component's first
     vertex to x one-to-one onto those that send it to s(x). So after one
-    automorphism search, each component's first vertex tries only the least
-    vertex r of each orbit, and its second, a neighbor of the first, only the
-    least vertex x of each orbit of r's stabilizer; each map found weighs the
-    size of r's orbit times that of x's. Components whose vertices share an
-    orbit are isomorphic: one per class is counted, and the counts multiply as
-    in ``count_homomorphisms``. ``node_budget`` caps the automorphism search and
-    the count together, and the error names the stage that ran out.
+    automorphism search, each component's first vertex in ``_order`` tries
+    only the least vertex r of each orbit, and its second, which ``_order``
+    makes a neighbor of the first, only the least vertex x of each orbit of
+    r's stabilizer; each map found weighs the size of r's orbit times that of
+    x's. The rest of the component is searched by ``_maps`` with forward
+    checking. Components whose vertices share an orbit are isomorphic: one per
+    class is counted, and the counts multiply as in ``count_homomorphisms``.
+    ``node_budget`` caps the automorphism search and the count together, and
+    the error names the stage that ran out.
     """
     if g.n == 0:
         return 1
@@ -512,7 +544,7 @@ def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
         classes.setdefault(min(map(label.__getitem__, comp)), []).append(comp)
     total = 1
     for comps in classes.values():
-        order = _bfs_order(g, comps[0])
+        order = _order(g, comps[0])
         a, b = order[0], order[len(order) > 1]  # a lone vertex weighs weight[r][r], r's orbit size
         maps = _maps(g, g, order, budget, sum(1 << r for r in orbits), seconds)
         total *= sum(weight[m[a]][m[b]] for m in maps) ** len(comps)

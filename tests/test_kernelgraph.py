@@ -276,6 +276,24 @@ def test_each_component_is_searched_on_its_own():
     assert hull(g, node_budget=10_000) == union_complete([1] * 8 + [5])
 
 
+def test_hull_of_even_torus_is_complete_bipartite():
+    # a connected bipartite graph folds onto an edge, which merges every two
+    # vertices of one side; an endomorphism maps an odd walk to an odd walk,
+    # which never joins two vertices of one side, so it keeps opposite
+    # sides apart
+    g = cartesian_product(cycle(6), cycle(6))
+    side = [(v // 6 + v % 6) % 2 for v in range(36)]
+    sides = Graph(36, [(u, v) for u in range(36) for v in range(u + 1, 36) if side[u] != side[v]])
+    assert hull(g, node_budget=2_000_000) == sides
+
+
+@pytest.mark.slow
+def test_hull_of_triangular_7_is_complete():
+    # computed by this code; the search that visited vertices breadth-first
+    # ran out of this budget
+    assert hull(triangular(7), node_budget=2_000_000) == complete(21)
+
+
 def test_node_budget_caps_the_automorphism_search():
     # the first pair search takes 24 nodes and leaves pairs unsettled; the
     # automorphism search that follows needs 55, every pair search at most 52
