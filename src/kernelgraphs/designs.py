@@ -187,13 +187,12 @@ class LatinSquare:
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
-        expected = list(range(1, n + 1))
+        symbols = set(range(1, n + 1))
         for r in rows:
-            if sorted(r) != expected:
+            if len(r) != n or set(r) != symbols:
                 raise ValueError(f"row {r} is not a permutation of 1..{n}")
-        for j in range(n):
-            col = sorted(r[j] for r in rows)
-            if col != expected:
+        for j, col in enumerate(zip(*rows)):
+            if set(col) != symbols:
                 raise ValueError(f"column {j + 1} is not a permutation of 1..{n}")
         self.n = n
         self.rows = rows
@@ -234,9 +233,7 @@ def mols_complete(q: int) -> list[LatinSquare]:
     field = FiniteField.of_order(q)
     squares = []
     for m in range(1, q):
-        rows = [
-            [field.add(field.mul(m, i), j) + 1 for j in range(q)] for i in range(q)
-        ]
+        rows = [[x + 1 for x in field._add[field._mul[m][i]]] for i in range(q)]
         squares.append(LatinSquare(rows))
     return squares
 

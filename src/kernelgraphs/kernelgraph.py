@@ -93,16 +93,17 @@ def closure_kernel_graph(generators) -> KernelGraphResult:
     """Kernel graph of the semigroup generated by the given transformations.
 
     Works on pair reachability, never materializing the closure: a pair is a
-    non-edge exactly when some product merges it, found by exploring the
-    pair graph from every pair. The minimal rank comes from
-    ``min_rank_of_generators``, the size of the image left by collapsing
-    pairs greedily (omega = chi = rank).
+    non-edge exactly when some product merges it, found by propagating the
+    merged pairs backward through the generators' preimages. The minimal
+    rank comes from ``min_rank_of_generators``, the size of the image left
+    by collapsing pairs greedily (omega = chi = rank).
     """
     gens = _check_generators(generators)
     n = gens[0].n
-    merged = _pair_collapse_table(gens, n)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in merged]
-    return KernelGraphResult(Graph(n, edges), min_rank_of_generators(gens), None)
+    full = (1 << n) - 1
+    rows = _pair_collapse_table(gens, n)
+    graph = Graph.from_adj([full ^ row ^ (1 << u) for u, row in enumerate(rows)])
+    return KernelGraphResult(graph, min_rank_of_generators(gens), None)
 
 
 def _uncollapsible_nonedges(g: Graph, node_budget: int | None):

@@ -136,15 +136,16 @@ def transformation_of_word(generators, word) -> Transformation:
 class _PairGraph:
     """The pair graph of the generators, explored forward on demand.
 
-    A pair u < v is coded u*n + v, and generator i sends it to the pair of
-    its images or merges it. A pair is marked once a merging word is known:
-    ``step[p] = (i, q)`` says generator i sends p to the marked pair q, or
-    merges p when q is -1, so following the steps spells a merging word.
-    Queued pairs are expanded in BFS order, each at most once (one tick of
-    ``budget``). A pair is marked while it is expanded, when a generator
-    merges it or sends it to a marked pair, and the mark spreads backward
-    over the edges explored so far, so only expanded pairs are ever marked.
-    An expansion stops at the first generator that marks its pair.
+    Serves the greedy collapse of ``_collapse``. A pair u < v is coded
+    u*n + v, and generator i sends it to the pair of its images or merges
+    it. A pair is marked once a merging word is known: ``step[p] = (i, q)``
+    says generator i sends p to the marked pair q, or merges p when q is -1,
+    so following the steps spells a merging word. Queued pairs are expanded
+    in BFS order, each at most once (one tick of ``budget``). A pair is
+    marked while it is expanded, when a generator merges it or sends it to a
+    marked pair, and the mark spreads backward over the edges explored so
+    far, so only expanded pairs are ever marked. An expansion stops at the
+    first generator that marks its pair.
     """
 
     def __init__(self, gens, n: int, budget: _Budget | None):
@@ -205,16 +206,40 @@ class _PairGraph:
         return False
 
 
-def _pair_collapse_table(gens, n: int, budget: _Budget | None = None) -> set[tuple[int, int]]:
-    """The pairs (u, v), u < v, that some product merges.
+def _pair_collapse_table(gens, n: int, budget: _Budget | None = None) -> list[int]:
+    """``rows[u]``: the bitset of the points v != u that some product merges with u.
 
-    The same exploration as ``_collapse``, run from every pair until the
-    queue is empty.
+    Backward propagation over each generator's preimage bitsets ``pre[x]``,
+    the points it sends to x: a pair (u, v) is mergeable when a generator
+    sends u into ``pre[a]`` and v into ``pre[b]`` for a mergeable pair (a, b)
+    or a = b. The diagonal pairs (x, x) are queued first, so they seed the
+    pairs merged at once; each mergeable pair is then queued and popped
+    once, one tick of ``budget``.
     """
-    graph = _PairGraph(gens, n, budget)
-    graph.add(u * n + v for u in range(n) for v in range(u + 1, n))
-    graph.explore(())
-    return {divmod(p, n) for p in graph.step}
+    tick = (_Budget(None, "pair search") if budget is None else budget).tick
+    pres = []
+    for g in gens:
+        pre = [0] * n
+        for v, x in enumerate(g.images):
+            pre[x] |= 1 << v
+        pres.append(pre)
+    rows = [1 << u for u in range(n)]  # diagonal included until the end
+    queue = [(x, x) for x in range(n)]
+    for a, b in queue:  # grows while it is read
+        if a != b:
+            tick()
+        for pre in pres:
+            pa, pb = pre[a], pre[b]
+            if pa and pb:
+                for u in _bits(pa):
+                    new = pb & ~rows[u]
+                    if new:
+                        rows[u] |= new
+                        bit = 1 << u
+                        for v in _bits(new):
+                            rows[v] |= bit
+                            queue.append((u, v))
+    return [row ^ (1 << u) for u, row in enumerate(rows)]
 
 
 def _collapse(gens, n: int, budget: _Budget | None = None) -> tuple[list[int], set[int]]:
@@ -264,7 +289,8 @@ def _collapse(gens, n: int, budget: _Budget | None = None) -> tuple[list[int], s
 def collapsible_pairs(generators) -> set[tuple[int, int]]:
     """Pairs (u,v), u<v, merged by some product of the generators."""
     gens = _check_generators(generators)
-    return _pair_collapse_table(gens, gens[0].n)
+    rows = _pair_collapse_table(gens, gens[0].n)
+    return {(u, v) for u, row in enumerate(rows) for v in _bits(row) if v > u}
 
 
 def is_synchronizing(generators) -> bool:

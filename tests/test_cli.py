@@ -64,6 +64,15 @@ def test_kernel_graph_closed_reads_stdin(capsys, monkeypatch):
     assert json.loads(out)["closed"] is True
 
 
+def test_kernel_graph_closed_json_pinned(tmp_path, capsys):
+    # every point goes into {2, 4, 6}, which both maps permute: min rank 3
+    f = tmp_path / "maps.txt"
+    f.write_text("[2,4,6,6,4,2,2]\n[4,6,2,2,6,4,2]\n")
+    code, out, _ = run(capsys, "--json", "kernel-graph", "--closed", str(f))
+    assert code == 0
+    assert out == '{"closed": true, "edges": 14, "graph6": "F}lyO", "min_rank": 3, "n": 7}\n'
+
+
 def test_hull_command(capsys):
     p4 = to_graph6(path(4))
     expected = to_graph6(hull(path(4)))

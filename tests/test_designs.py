@@ -70,6 +70,14 @@ def test_latin_square_validation():
         LatinSquare([[1, 2], [1, 2]])  # bad column
     with pytest.raises(ValueError):
         LatinSquare([[1, 1], [2, 2]])  # bad row
+    with pytest.raises(ValueError, match=r"^row \(3,\) is not a permutation of 1\.\.3$"):
+        LatinSquare([[1, 2, 3], [3], [2, 3, 1]])  # ragged
+    with pytest.raises(ValueError, match=r"^row \(1, 2, 3, 4\) is not a permutation of 1\.\.3$"):
+        LatinSquare([[1, 2, 3, 4], [2, 3, 1], [3, 1, 2]])  # too long
+    with pytest.raises(ValueError, match=r"^row \(2, 2, 1\) is not a permutation of 1\.\.3$"):
+        LatinSquare([[1, 2, 3], [2, 2, 1], [3, 1, 2]])  # repeated symbol in a row
+    with pytest.raises(ValueError, match=r"^column 2 is not a permutation of 1\.\.3$"):
+        LatinSquare([[1, 2, 3], [2, 3, 1], [3, 2, 1]])  # repeated symbol in a column
 
 
 def test_cyclic_square():

@@ -108,16 +108,35 @@ def test_closure_kernel_graph_synchronizing_is_null():
     assert result.min_rank == 1
 
 
+def kernel_shaped_set(rng: random.Random, n: int, r: int) -> list[Transformation]:
+    # every point goes into a fixed r-set K, which each map permutes
+    core = rng.sample(range(n), r)
+    maps = []
+    for _ in range(rng.randint(2, 4)):
+        images = [rng.choice(core) for _ in range(n)]
+        for a, b in zip(core, rng.sample(core, r)):
+            images[a] = b
+        maps.append(Transformation(images))
+    return maps
+
+
 def test_closure_kernel_graph_matches_materialized_closure():
     rng = random.Random(131)
+    cases = []
     for _ in range(150):
         n = rng.randrange(3, 7)
-        gens = [random_transformation(rng, n) for _ in range(rng.randrange(1, 4))]
+        cases.append(([random_transformation(rng, n) for _ in range(rng.randrange(1, 4))], None))
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        r = rng.randint(1, min(n - 1, 5))
+        cases.append((kernel_shaped_set(rng, n, r), r))
+    for gens, r in cases:
         c = close(gens)
         direct = kernel_graph(list(c))
         fast = closure_kernel_graph(gens)
         assert fast.graph == direct.graph
         assert fast.min_rank == direct.min_rank == c.min_rank
+        assert r is None or fast.min_rank == r
 
 
 def test_clique_and_chromatic_equal_min_rank_on_closures():

@@ -334,6 +334,26 @@ def test_each_pair_expanded_at_most_once():
     assert budget.used < 200 * 190 // 4
 
 
+def test_pair_table_ticks_once_per_collapsible_pair():
+    rng = random.Random(103)
+    cases = [cerny(30), [Transformation([1, 2, 3, 0])]]
+    for _ in range(200):
+        n = rng.randrange(1, 16)
+        cases.append([random_transformation(rng, n) for _ in range(rng.randrange(1, 4))])
+    cases.extend(non_synchronizing_sets(rng, 10))
+    for gens in cases:
+        n = gens[0].n
+        budget = _Budget(None, "pair search")
+        rows = _pair_collapse_table(gens, n, budget)
+        assert all(rows[v] >> u & 1 for u in range(n) for v in _bits(rows[u]))  # symmetric
+        assert not any(rows[u] >> u & 1 for u in range(n))
+        assert budget.used == len(collapsible_pairs(gens))
+        assert budget.used == sum(map(int.bit_count, rows)) // 2
+    with pytest.raises(BudgetExceededError):
+        _pair_collapse_table(cerny(10), 10, _Budget(44, "pair search"))
+    assert len(collapsible_pairs(cerny(10))) == 45
+
+
 # ------------------------------------------------------------- homomorphisms
 
 
