@@ -115,6 +115,41 @@ def _undigits(ds, p: int) -> int:
     return x
 
 
+def _check_field(q: int, p: int, e: int, add, mul) -> None:
+    """Raise ValueError unless the tables make a field with identities 0 and 1.
+
+    Associativity is Light's test over generating sets, O(e q^2): the a with
+    (xa)y = x(ay) for all x, y are closed under the operation. The digit
+    basis p^i generates +; 0 and a primitive element g generate *. The a
+    that distribute over + are closed under products once * is associative.
+    """
+    bad = f"the GF({q}) tables are not a field"
+    add, mul = [list(row) for row in add], [list(row) for row in mul]
+
+    def reached(table, start, gens):  # start, then start times each product of gens
+        seen, new = set(), {start}
+        while new:
+            seen |= new
+            new = {table[x][a] for x in new for a in gens} - seen
+        return seen
+
+    for a in range(q):
+        if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0 or sorted(add[a]) != [*range(q)]:
+            raise ValueError(f"{bad}: row {a} breaks an identity or repeats a sum")
+        if any(add[a][b] != add[b][a] or mul[a][b] != mul[b][a] for b in range(a)):
+            raise ValueError(f"{bad}: {a} does not commute")
+    basis = [p**i for i in range(e)]
+    g = next((g for g in range(1, q) if reached(mul, 1, [g]) == {*range(1, q)}), None)
+    if g is None or len(reached(add, 0, basis)) < q:
+        raise ValueError(f"{bad}: no primitive element, or the digits do not generate +")
+    for table, gens in ((add, basis), (mul, [0, g])):
+        if any(table[row[a]] != [row[y] for y in table[a]] for a in gens for row in table):
+            raise ValueError(f"{bad}: not associative")
+    rows = (mul[0], mul[g])
+    if any([m[y] for y in add[b]] != [add[m[b]][y] for y in m] for m in rows for b in range(q)):
+        raise ValueError(f"{bad}: not distributive")
+
+
 @lru_cache(maxsize=None)
 def _make_field(q: int) -> FiniteField:
     pe = _prime_power(q)
@@ -125,56 +160,22 @@ def _make_field(q: int) -> FiniteField:
             f"fields are tabulated up to order {MAX_FIELD_ORDER}, got {q}"
         )
     p, e = pe
-    if e == 1:
-        add = [[(a + b) % p for b in range(q)] for a in range(q)]
-        mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-    else:
-        modulus = _POLYNOMIALS[q]
-        add = [
-            [
-                _undigits(
-                    [(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p
-                )
-                for b in range(q)
-            ]
-            for a in range(q)
-        ]
-        mul = []
-        for a in range(q):
-            da = _digits(a, p, e)
-            row = []
-            for b in range(q):
-                db = _digits(b, p, e)
-                prod = [0] * (2 * e - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                for d in range(len(prod) - 1, e - 1, -1):
-                    c = prod[d]
-                    if c:
-                        prod[d] = 0
-                        for i in range(e):
-                            prod[d - e + i] = (prod[d - e + i] - c * modulus[i]) % p
-                row.append(_undigits(prod[:e], p))
-            mul.append(row)
-    # field axioms, checked exhaustively at this size
-    for a in range(q):
-        assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
-        assert sorted(add[a]) == list(range(q))
-        for b in range(q):
-            assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
-                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
-    inv = [0] * q
-    for a in range(1, q):
-        inv[a] = mul[a].index(1)
-    add = [tuple(r) for r in add]
-    mul = [tuple(r) for r in mul]
-    return FiniteField(q, p, e, tuple(add), tuple(mul), tuple(inv))
+    digits = [_digits(a, p, e) for a in range(q)]
+    add = [[_undigits([(x + y) % p for x, y in zip(da, db)], p) for db in digits] for da in digits]
+    mul = []
+    for s in digits:  # s runs through a * x^i, reduced by the modulus
+        row = [0]  # a * b for b < p^i: digit d of b at position i adds d copies of a * x^i
+        for i in range(e):
+            if i:
+                s = [(y - s[-1] * m) % p for y, m in zip([0, *s[:-1]], _POLYNOMIALS[q])]
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(add[multiples[-1]][_undigits(s, p)])
+            row = [add[r][m] for m in multiples for r in row]
+        mul.append(row)
+    _check_field(q, p, e, add, mul)
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
+    return FiniteField(q, p, e, tuple(map(tuple, add)), tuple(map(tuple, mul)), tuple(inv))
 
 
 # -------------------------------------------------------------- latin squares

@@ -7,7 +7,6 @@ first, then generator j.
 from __future__ import annotations
 
 import functools
-from collections import deque
 
 from .errors import ClosureCapExceededError, _Budget
 from .graphs import Graph, _bits, _ir_search, _orbit
@@ -136,74 +135,72 @@ def transformation_of_word(generators, word) -> Transformation:
 class _PairGraph:
     """The pair graph of the generators, explored forward on demand.
 
-    Serves the greedy collapse of ``_collapse``. A pair u < v is coded
-    u*n + v, and generator i sends it to the pair of its images or merges
-    it. A pair is marked once a merging word is known: ``step[p] = (i, q)``
-    says generator i sends p to the marked pair q, or merges p when q is -1,
-    so following the steps spells a merging word. Queued pairs are expanded
-    in BFS order, each at most once (one tick of ``budget``). A pair is
-    marked while it is expanded, when a generator merges it or sends it to a
-    marked pair, and the mark spreads backward over the edges explored so
-    far, so only expanded pairs are ever marked. An expansion stops at the
-    first generator that marks its pair.
+    A pair u < v is coded u*n + v, and generator i sends it to the pair of
+    its images or merges it. A pair is marked once a merging word is known:
+    ``step[p]`` is the pair that the first generator doing so sends p to, or
+    -1 when it merges p, so following the steps spells a merging word.
+    Queued pairs are expanded in BFS order, each at most once (one tick of
+    ``budget``). A pair is marked while it is expanded, when a generator
+    merges it or sends it to a marked pair, and the mark spreads backward
+    over the edges explored so far (``into[q]``: the expanded pairs sent to
+    q while it was unmarked), so only expanded pairs are ever marked. An
+    expansion stops at the first generator that marks its pair.
     """
 
     def __init__(self, gens, n: int, budget: _Budget | None):
         self.images = [g.images for g in gens]
         self.n = n
-        self.step: dict[int, tuple[int, int]] = {}
-        self.into: dict[int, list[tuple[int, int]]] = {}  # seen pair -> explored edges into it
-        self.queue: deque[int] = deque()
+        self.step: list[int | None] = [None] * (n * n)  # None while unmarked
+        self.into: list[list[int] | None] = [None] * (n * n)  # None until seen
+        self.queue: list[int] = []
+        self.head = 0  # queue[head:] is still to be expanded
         self.budget = _Budget(None, "pair search") if budget is None else budget
 
-    def add(self, pairs) -> None:
-        """Queue the pairs not seen yet as roots of the search."""
-        into, queue = self.into, self.queue
-        for p in pairs:
-            if p not in into:
-                into[p] = []
-                queue.append(p)
+    def explore(self, pairs: list[int], need: int) -> bool:
+        """Expand queued pairs until ``need`` of ``pairs`` are marked.
 
-    def explore(self, image) -> bool:
-        """Expand queued pairs until a pair of points in ``image`` gets marked.
-
-        Returns False when the queue runs out first: then every pair seen
-        and still unmarked has no merging word.
+        None of ``pairs`` may be marked yet; those not seen before are queued
+        first, as roots. Returns False when the queue runs dry first: then
+        every pair seen and still unmarked has no merging word.
         """
         n, images, step, into, queue = self.n, self.images, self.step, self.into, self.queue
+        for p in pairs:
+            if into[p] is None:
+                into[p] = []
+                queue.append(p)
+        targets = set(pairs)
         tick = self.budget.tick
-        while queue:
-            p = queue.popleft()
+        head = self.head
+        while need > 0 and head < len(queue):
+            p = queue[head]
+            head += 1
             tick()
             u, v = divmod(p, n)
-            for i, g in enumerate(images):
+            for g in images:
                 a, b = g[u], g[v]
                 q = -1
                 if a != b:
                     q = a * n + b if a < b else b * n + a
-                    if q not in step:
-                        edges = into.get(q)
+                    if step[q] is None:
+                        edges = into[q]
                         if edges is None:
-                            into[q] = [(p, i)]
+                            into[q] = [p]
                             queue.append(q)
                         else:
-                            edges.append((p, i))
+                            edges.append(p)
                         continue
-                step[p] = (i, q)
-                hit = False
+                step[p] = q
                 wave = [p]
                 for x in wave:
-                    if not hit:
-                        xu, xv = divmod(x, n)
-                        hit = xu in image and xv in image
-                    for r, j in into[x]:
-                        if r not in step:
-                            step[r] = (j, x)
+                    if x in targets:
+                        need -= 1
+                    for r in into[x]:
+                        if step[r] is None:
+                            step[r] = x
                             wave.append(r)
-                if hit:
-                    return True
                 break
-        return False
+        self.head = head
+        return need <= 0
 
 
 def _pair_collapse_table(gens, n: int, budget: _Budget | None = None) -> list[int]:
@@ -242,27 +239,8 @@ def _pair_collapse_table(gens, n: int, budget: _Budget | None = None) -> list[in
     return [row ^ (1 << u) for u, row in enumerate(rows)]
 
 
-def _collapse(gens, n: int, budget: _Budget | None = None) -> tuple[list[int], set[int]]:
-    """Collapse the image greedily; return the word and the final image.
-
-    Starting from all points, apply the first generator that is not
-    injective on the image, while there is one. Otherwise explore the pair
-    graph from the pairs of the image until one of them is marked, and
-    follow the steps of the first marked pair (lexicographic). Stop when no
-    pair of the image can be marked. The final image is a clique of the
-    kernel graph, so it meets each kernel class of a minimal-rank product
-    at most once: its size is the minimal rank.
-    """
-    graph = _PairGraph(gens, n, budget)
-    images, step = graph.images, graph.step
-
-    def first_marked(pts):
-        return next(
-            (u * n + v for k, u in enumerate(pts) for v in pts[k + 1 :] if u * n + v in step), None
-        )
-
-    word: list[int] = []
-    image = set(range(n))
+def _shrink(images, image: set[int], word: list[int]) -> set[int]:
+    """Apply the first generator that is not injective on the image, while there is one."""
     while len(image) > 1:
         for i, g in enumerate(images):
             shrunk = {g[x] for x in image}
@@ -271,18 +249,45 @@ def _collapse(gens, n: int, budget: _Budget | None = None) -> tuple[list[int], s
                 image = shrunk
                 break
         else:
-            pts = sorted(image)
+            break
+    return image
+
+
+def _collapse(gens, n: int, budget: _Budget | None = None) -> tuple[list[int], set[int]]:
+    """Collapse the image greedily; return the word and the final image.
+
+    Starting from all points, ``_shrink`` the image. Then explore the pair
+    graph from the pairs of the image until one of them is marked, follow
+    the steps of the first marked pair (lexicographic), and repeat. Stop
+    when no pair of the image can be marked. The final image is a clique of
+    the kernel graph, so it meets each kernel class of a minimal-rank
+    product at most once: its size is the minimal rank.
+    """
+    graph = _PairGraph(gens, n, budget)
+    images, step = graph.images, graph.step
+
+    def first_marked(pts):
+        pairs = (u * n + v for k, u in enumerate(pts) for v in pts[k + 1 :])
+        return next((p for p in pairs if step[p] is not None), None)
+
+    word: list[int] = []
+    image = set(range(n))
+    while len(image := _shrink(images, image, word)) > 1:
+        pts = sorted(image)
+        pair = first_marked(pts)
+        if pair is None:
+            if not graph.explore([u * n + v for k, u in enumerate(pts) for v in pts[k + 1 :]], 1):
+                break
             pair = first_marked(pts)
-            if pair is None:
-                graph.add(u * n + v for k, u in enumerate(pts) for v in pts[k + 1 :])
-                if not graph.explore(image):
+        while pair >= 0:
+            u, v = divmod(pair, n)
+            pair = step[pair]
+            for i, g in enumerate(images):  # the first one merging (u, v) or sending it to pair
+                a, b = g[u], g[v]
+                if (a * n + b if a < b else b * n + a if a > b else -1) == pair:
                     break
-                pair = first_marked(pts)
-            while pair >= 0:
-                i, pair = step[pair]
-                word.append(i)
-                g = images[i]
-                image = {g[x] for x in image}
+            word.append(i)
+            image = {g[x] for x in image}
     return word, image
 
 
@@ -296,15 +301,21 @@ def collapsible_pairs(generators) -> set[tuple[int, int]]:
 def is_synchronizing(generators) -> bool:
     """True when some product of the generators is a constant map.
 
-    Collapses the image greedily (see ``synchronizing_word``) and checks
-    that one point is left; random generator sets usually shrink the image
-    to a few points at once, so only a few pairs are ever explored.
+    Each generator is an endomorphism of the kernel graph, so a word w maps
+    an edge {x, y} to the edge {xw, yw} inside the image of w: the set
+    synchronizes iff all pairs of one image merge. The image is shrunk
+    greedily (``_shrink``), and one exploration checks that all its pairs
+    get marked; random sets shrink to a few points, so few pairs are seen.
     """
     gens = tuple(generators)
     if not gens:
         return False
     gens = _check_generators(gens)
-    return len(_collapse(gens, gens[0].n)[1]) == 1
+    n = gens[0].n
+    graph = _PairGraph(gens, n, None)
+    pts = sorted(_shrink(graph.images, set(range(n)), []))
+    pairs = [u * n + v for k, u in enumerate(pts) for v in pts[k + 1 :]]
+    return graph.explore(pairs, len(pairs))
 
 
 def synchronizing_word(generators) -> list[int] | None:

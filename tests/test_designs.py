@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from kernelgraphs.designs import (
+    MAX_FIELD_ORDER,
     FiniteField,
     LatinSquare,
     OrthogonalArray,
@@ -13,6 +14,8 @@ from kernelgraphs.designs import (
     oa_extendible,
     oa_from_mols,
     oa_graph,
+    _check_field,
+    _prime_power,
 )
 from kernelgraphs.errors import UnsupportedParameterError
 from kernelgraphs.graphs import are_isomorphic, cycle, paley, square_lattice
@@ -22,7 +25,7 @@ from kernelgraphs.graphs import are_isomorphic, cycle, paley, square_lattice
 
 
 def test_field_orders_construct():
-    # axioms are asserted exhaustively inside the constructor
+    # the constructor checks the field axioms (see test_field_check_*)
     for q in [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]:
         f = FiniteField.of_order(q)
         assert f.q == q
@@ -59,6 +62,65 @@ def test_field_caching_and_rejections():
             FiniteField.of_order(bad)
     with pytest.raises(UnsupportedParameterError):
         FiniteField.of_order(121)  # prime power, but past the table limit
+
+
+def satisfies_field_axioms(q, add, mul):
+    """The q^3 check: identities, inverses, commutativity, associativity, distributivity."""
+    if any(sorted(add[a]) != list(range(q)) or add[a][0] != a or mul[a][1] != a for a in range(q)):
+        return False
+    if any(1 not in mul[a] for a in range(1, q)):
+        return False
+    return all(
+        add[a][b] == add[b][a]
+        and mul[a][b] == mul[b][a]
+        and add[add[a][b]][c] == add[a][add[b][c]]
+        and mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        and mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        for a, b, c in itertools.product(range(q), repeat=3)
+    )
+
+
+def test_field_check_passes_every_field():
+    orders = [q for q in range(2, MAX_FIELD_ORDER + 1) if _prime_power(q)]
+    assert len(orders) == 23
+    for q in orders:
+        f = FiniteField.of_order(q)
+        _check_field(q, f.p, f.e, f._add, f._mul)
+    for q in [4, 8, 9]:
+        f = FiniteField.of_order(q)
+        assert satisfies_field_axioms(q, f._add, f._mul)
+
+
+def broken_tables(q):
+    """(what, add, mul) for copies of the GF(q) tables with one defect each."""
+    f = FiniteField.of_order(q)
+    add = [list(row) for row in f._add]
+    mul = [list(row) for row in f._mul]
+    a, b, c = 2, 3, q - 1
+    swapped = [row[:] for row in mul]  # two entries of row a swapped
+    swapped[a][b], swapped[a][c] = mul[a][c], mul[a][b]
+    mirrored = [row[:] for row in swapped]  # and their mirrors, so * still commutes
+    mirrored[b][a], mirrored[c][a] = mul[c][a], mul[b][a]
+    changed = [row[:] for row in add]  # one sum replaced by another of its row
+    changed[a][b] = add[a][c]
+    s = list(range(q))  # relabel 2 <-> 3: (F, *) stays a monoid with cyclic units
+    s[2], s[3] = 3, 2
+    relabelled = [[s[mul[s[x]][s[y]]] for y in range(q)] for x in range(q)]
+    return [
+        ("mul row", add, swapped),
+        ("mul mirrored", add, mirrored),
+        ("mul relabelled", add, relabelled),
+        ("add entry", changed, mul),
+    ]
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_field_check_rejects_broken_tables(q):
+    f = FiniteField.of_order(q)
+    for what, add, mul in broken_tables(q):
+        assert not satisfies_field_axioms(q, add, mul), what
+        with pytest.raises(ValueError, match=f"GF\\({q}\\)"):
+            _check_field(q, f.p, f.e, add, mul)
 
 
 # -------------------------------------------------------------- latin squares

@@ -305,6 +305,30 @@ def test_min_rank_matches_closure():
     assert min_rank_of_generators([T("[3,3,4,3]"), T("[3,3,2,4]")]) == 1
 
 
+def two_map_sets(n: int):
+    maps = [Transformation(images) for images in itertools.product(range(n), repeat=n)]
+    return itertools.product(maps, repeat=2)
+
+
+def test_decision_matches_min_rank_exhaustively():
+    # the stuck-image decision against the greedy collapse's minimal rank
+    cases = [*two_map_sets(3), *(cerny(n) for n in range(2, 41))]
+    cases += non_synchronizing_sets(random.Random(107), 60)
+    assert len(cases) == 729 + 39 + 2 * 60
+    for gens in cases:
+        assert is_synchronizing(gens) == (min_rank_of_generators(gens) == 1)
+
+
+@pytest.mark.slow
+def test_decision_matches_min_rank_on_four_points():
+    hits = 0
+    for gens in two_map_sets(4):
+        decided = is_synchronizing(gens)
+        assert decided == (min_rank_of_generators(gens) == 1)
+        hits += decided
+    assert 0 < hits < 65_536
+
+
 def test_cerny_word_length():
     # C_n needs (n-1)^2 letters (Cerny), and the greedy collapse finds that many
     for n in range(2, 41):
