@@ -22,6 +22,7 @@ kernelgraphs derived 'DqK'
 
 echo '# automorphisms and endomorphisms'
 kernelgraphs aut 'DUW'           # C5
+kernelgraphs aut 'K~~~~~~~~~~~'  # K12: an 11-point base, order 479001600
 kernelgraphs end-count 'DUW'
 
 echo '# minimal generating sets'

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from collections import Counter, deque
+from collections import Counter
 
 from .errors import BudgetExceededError, _Budget
 from .graphs import Graph, _ir_search, _orbit
@@ -29,6 +29,17 @@ def _inv(a):
     for i, x in enumerate(a):
         r[x] = i
     return tuple(r)
+
+
+def _sift(chain, g):
+    """Strip g through the chain: the residual and the level where it stopped."""
+    for level, (beta, table, _gens) in enumerate(chain):
+        p = g[beta]
+        if p not in table:
+            return g, level
+        if p != beta:
+            g = _mul(g, _inv(table[p]))
+    return g, len(chain)
 
 
 def _perm_order(a) -> int:
@@ -72,75 +83,44 @@ class PermGroup:
     # --------------------------------------------------------- Schreier-Sims
 
     def _stabilizer_chain(self):
-        """Deterministic chain of (base point, transversal, level generators)."""
+        """Base and strong generators by one incremental Schreier-Sims pass.
+
+        Each level is (base point, transversal, level generators).  The level
+        generators are the strong generators fixing every earlier base point;
+        the transversal maps each point of the base point's orbit under them
+        to a product of them sending the base point there.  A generator that
+        does not sift through the chain joins every level it fixes, deepest
+        first.  Each such level's orbit grows by its new points only, and
+        only the new (point, generator) Schreier generators are sifted; a
+        nontrivial residual joins the chain the same way.  Transversal
+        entries never change, so a Schreier generator that sifted to the
+        identity once stays settled (Sims 1970; Seress, *Permutation Group
+        Algorithms*, 2003, section 4.2).
+        """
         if self._chain is not None:
             return self._chain
-        degree = self.degree
-        identity = tuple(range(degree))
-        strong = list(self.generators)
-        base: list[int] = []
-        for g in strong:
-            if all(g[b] == b for b in base):
-                base.append(next(x for x in range(degree) if g[x] != x))
-
-        def gens_fixing(level):
-            return [g for g in strong if all(g[base[j]] == base[j] for j in range(level))]
-
-        def transversal(level, gens):
-            beta = base[level]
-            t = {beta: identity}
-            queue = deque([beta])
-            while queue:
-                p = queue.popleft()
-                rep = t[p]
-                for g in gens:
-                    q = g[p]
-                    if q not in t:
-                        t[q] = _mul(rep, g)
-                        queue.append(q)
-            return t
-
-        def strip(g, start, tables):
-            for level in range(start, len(base)):
-                p = g[base[level]]
-                table = tables[level]
-                if table is None or p not in table:
-                    return g, level
-                g = _mul(g, _inv(table[p]))
-            return g, len(base)
-
-        tables: list[dict | None] = [None] * len(base)
-        i = len(base) - 1
-        while i >= 0:
-            level_gens = gens_fixing(i)
-            tables[i] = transversal(i, level_gens)
-            complete = True
-            for p in sorted(tables[i]):
-                rep = tables[i][p]
-                for s in level_gens:
-                    u = _mul(rep, s)
-                    back = tables[i][u[base[i]]]
-                    u = _mul(u, _inv(back))
-                    if u == identity:
+        identity = tuple(range(self.degree))
+        chain: list[tuple[int, dict, list]] = []
+        queue = list(self.generators)
+        for g in queue:  # grows while it is read: residuals join it
+            g, depth = _sift(chain, g)
+            if g == identity:
+                continue
+            if depth == len(chain):
+                beta = next(x for x in identity if g[x] != x)
+                chain.append((beta, {beta: identity}, []))
+            for _beta, table, gens in reversed(chain[: depth + 1]):
+                gens.append(g)
+                pairs = [(p, g) for p in table]
+                for p, s in pairs:  # grows while it is read: a new point with each generator
+                    q = s[p]
+                    if q not in table:
+                        table[q] = _mul(table[p], s)
+                        pairs.extend((q, t) for t in gens)
                         continue
-                    residual, j = strip(u, i + 1, tables)
-                    if residual == identity:
-                        continue
-                    strong.append(residual)
-                    if j == len(base):
-                        base.append(next(x for x in range(degree) if residual[x] != x))
-                        tables.append(None)
-                    i = j
-                    complete = False
-                    break
-                if not complete:
-                    break
-            if complete:
-                i -= 1
-        chain = []
-        for level in range(len(base)):
-            level_gens = gens_fixing(level)
-            chain.append((base[level], transversal(level, level_gens), level_gens))
+                    residual = _sift(chain, _mul(_mul(table[p], s), _inv(table[q])))[0]
+                    if residual != identity:
+                        queue.append(residual)
         object.__setattr__(self, "_chain", chain)
         return chain
 
@@ -154,29 +134,18 @@ class PermGroup:
         g = tuple(perm)
         if sorted(g) != list(range(self.degree)):
             return False
-        for beta, table, _gens in self._stabilizer_chain():
-            p = g[beta]
-            if p not in table:
-                return False
-            g = _mul(g, _inv(table[p]))
-        return g == tuple(range(self.degree))
+        return _sift(self._stabilizer_chain(), g)[0] == tuple(range(self.degree))
 
     # ------------------------------------------------------------ enumeration
 
     def elements(self, limit: int = DEFAULT_ELEMENT_CAP) -> list[tuple[int, ...]]:
-        identity = tuple(range(self.degree))
-        seen = {identity}
-        queue = deque([identity])
-        while queue:
-            t = queue.popleft()
-            for g in self.generators:
-                new = _mul(t, g)
-                if new not in seen:
-                    if len(seen) >= limit:
-                        raise BudgetExceededError("closure", limit, "group elements")
-                    seen.add(new)
-                    queue.append(new)
-        return sorted(seen)
+        """Every element, sorted: the products g*u down the chain, deepest level first."""
+        if self.order() > limit:
+            raise BudgetExceededError("closure", limit, "group elements")
+        result = [tuple(range(self.degree))]
+        for _beta, table, _gens in reversed(self._stabilizer_chain()):
+            result = [_mul(g, u) for u in table.values() for g in result]
+        return sorted(result)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -197,9 +166,8 @@ class PermGroup:
                 if c != identity:
                     commutators.add(c)
         # normal closure: conjugating each generator keeps the set generating
-        queue = deque(commutators)
-        while queue:
-            h = queue.popleft()
+        queue = list(commutators)
+        for h in queue:  # grows while it is read
             for g in gens:
                 conj = _mul(_mul(inverses[g], h), g)
                 if conj != identity and conj not in commutators:
@@ -433,9 +401,13 @@ def _catalog(order: int) -> dict[tuple, str]:
         if expected_order != order:
             continue
         group = PermGroup(degree, gens)
-        assert group.order() == expected_order, (name, group.order())
+        if group.order() != expected_order:
+            raise RuntimeError(
+                f"catalog group {name} has order {group.order()}, not {expected_order}"
+            )
         fp = group.fingerprint()
-        assert fp not in table, (name, table[fp])
+        if fp in table:
+            raise RuntimeError(f"catalog groups {table[fp]} and {name} share a fingerprint")
         table[fp] = name
     return table
 

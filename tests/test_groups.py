@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from kernelgraphs import groups
 from kernelgraphs.errors import BudgetExceededError
 from kernelgraphs.groups import (
     PermGroup,
@@ -30,7 +31,7 @@ from kernelgraphs.graphs import (
 )
 
 
-def bfs_order_oracle(degree: int, gens) -> int:
+def closure_oracle(degree: int, gens) -> set:
     identity = tuple(range(degree))
     seen = {identity}
     queue = [identity]
@@ -41,7 +42,7 @@ def bfs_order_oracle(degree: int, gens) -> int:
             if new not in seen:
                 seen.add(new)
                 queue.append(new)
-    return len(seen)
+    return seen
 
 
 def test_permgroup_basics():
@@ -68,13 +69,74 @@ def test_order_matches_enumeration_oracle():
             rng.shuffle(p)
             gens.append(tuple(p))
         group = PermGroup(degree, gens)
-        assert group.order() == bfs_order_oracle(degree, gens)
+        assert group.order() == len(closure_oracle(degree, gens))
+
+
+def random_generators(rng, degree):
+    """One to three permutations, each shuffling a random subset of the points."""
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        points = rng.sample(range(degree), rng.randrange(min(2, degree), degree + 1))
+        images = points[:]
+        rng.shuffle(images)
+        p = list(range(degree))
+        for a, b in zip(points, images):
+            p[a] = b
+        gens.append(tuple(p))
+    return gens
+
+
+def test_order_elements_and_membership_match_the_closure():
+    rng = random.Random(24)
+    for _ in range(150):
+        degree = rng.randrange(0, 9)
+        gens = random_generators(rng, degree)
+        group = PermGroup(degree, gens)
+        closure = closure_oracle(degree, gens)
+        assert group.order() == len(closure), gens
+        assert group.elements() == sorted(closure), gens
+        if degree <= 5:
+            for p in itertools.permutations(range(degree)):
+                assert group.contains(p) == (p in closure), (gens, p)
+
+
+def test_stabilizer_chain_invariants():
+    rng = random.Random(25)
+    cases = [PermGroup(d, random_generators(rng, d)) for d in rng.choices(range(9), k=60)]
+    cases += [
+        automorphism_group(g)
+        for g in (complete(9), hamming(4, 2), cartesian_product(cycle(5), cycle(5)))
+    ]
+    for group in cases:
+        chain = group._stabilizer_chain()
+        base = [beta for beta, _table, _gens in chain]
+        assert len(set(base)) == len(base)
+        for level, (beta, table, gens) in enumerate(chain):
+            earlier = base[:level]
+            assert table[beta] == tuple(range(group.degree))
+            for point, rep in table.items():
+                assert rep[beta] == point
+                assert all(rep[b] == b for b in earlier)
+            assert gens
+            for g in gens:
+                assert all(g[b] == b for b in earlier)
+                assert g[beta] in table
 
 
 def test_elements_cap():
     s7 = PermGroup(7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)])
     with pytest.raises(BudgetExceededError):
         s7.elements(limit=100)
+    with pytest.raises(BudgetExceededError):
+        s7.elements(limit=5039)
+    assert len(s7.elements(limit=5040)) == 5040
+    # the order decides: a group of order 20! fails at once, without enumerating
+    with pytest.raises(BudgetExceededError, match="closure"):
+        automorphism_group(complete(20)).elements()
+
+
+def test_complete_graph_group_order():
+    assert automorphism_group(complete(20)).order() == math.factorial(20)
 
 
 def test_abelian_and_center():
@@ -137,6 +199,19 @@ def test_catalog_builds_with_distinct_fingerprints():
             "S7",
         ]
     )
+
+
+def test_catalog_checks_itself(monkeypatch):
+    c3 = ("C3", 3, [_perm(3, (0, 1, 2))], 3)
+    monkeypatch.setattr(groups, "_catalog_specs", lambda: [c3[:3] + (6,)])
+    _catalog.cache_clear()
+    with pytest.raises(RuntimeError, match="C3 has order 3, not 6"):
+        _catalog(6)
+    monkeypatch.setattr(groups, "_catalog_specs", lambda: [c3, ("C3 again",) + c3[1:]])
+    _catalog.cache_clear()
+    with pytest.raises(RuntimeError, match="share a fingerprint"):
+        _catalog(3)
+    _catalog.cache_clear()
 
 
 def test_group_name_fingerprints_only_the_catalog_entries_of_its_order(monkeypatch):
