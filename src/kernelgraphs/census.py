@@ -17,6 +17,7 @@ import random
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 
 from .errors import UnsupportedParameterError
@@ -284,6 +285,16 @@ def hull_preimages(g: Graph) -> list[Graph]:
     return [x for x in generate_all(g.n) if canonical_form(hull(x)) == target]
 
 
+def _points(rng: random.Random, n: int):
+    """The endless stream of ``rng.randrange(n)`` draws.
+
+    ``randrange(n)`` draws ``getrandbits(k)``, k = n.bit_length(), until the
+    draw is below n (Python 3.10 to 3.13); filtering one lazy stream of such
+    draws gives the same points without the per-call overhead.
+    """
+    return filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length())))
+
+
 def random_sync_trials(
     n: int, trials: int, *, generators: int = 2, seed: int | None = None
 ) -> dict:
@@ -294,13 +305,10 @@ def random_sync_trials(
         raise ValueError("trials must be at least 1")
     if generators < 1:
         raise ValueError("generators must be at least 1")
-    rng = random.Random(seed)
+    points = _points(random.Random(seed), n)
     hits = 0
     for _ in range(trials):
-        members = [
-            Transformation._of(tuple([rng.randrange(n) for _ in range(n)]))
-            for _ in range(generators)
-        ]
+        members = [Transformation._of(tuple(islice(points, n))) for _ in range(generators)]
         if is_synchronizing(members):
             hits += 1
     return {

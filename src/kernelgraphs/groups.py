@@ -91,25 +91,28 @@ class PermGroup:
         to a product of them sending the base point there.  A generator that
         does not sift through the chain joins every level it fixes, deepest
         first.  Each such level's orbit grows by its new points only, and
-        only the new (point, generator) Schreier generators are sifted; a
-        nontrivial residual joins the chain the same way.  Transversal
-        entries never change, so a Schreier generator that sifted to the
-        identity once stays settled (Sims 1970; Seress, *Permutation Group
+        only the new (point, generator) Schreier generators are sifted.  A
+        nontrivial residual of level k's Schreier generators lies in the
+        span of level k's generators, and so of every level above, so it
+        joins only the levels below k that it fixes.  Transversal entries
+        never change, so a Schreier generator that sifted to the identity
+        once stays settled (Sims 1970; Seress, *Permutation Group
         Algorithms*, 2003, section 4.2).
         """
         if self._chain is not None:
             return self._chain
         identity = tuple(range(self.degree))
         chain: list[tuple[int, dict, list]] = []
-        queue = list(self.generators)
-        for g in queue:  # grows while it is read: residuals join it
+        queue = [(g, -1) for g in self.generators]  # (element, the level it came from)
+        for g, origin in queue:  # grows while it is read: residuals join it
             g, depth = _sift(chain, g)
             if g == identity:
                 continue
             if depth == len(chain):
                 beta = next(x for x in identity if g[x] != x)
                 chain.append((beta, {beta: identity}, []))
-            for _beta, table, gens in reversed(chain[: depth + 1]):
+            for level in range(depth, origin, -1):
+                _beta, table, gens = chain[level]
                 gens.append(g)
                 pairs = [(p, g) for p in table]
                 for p, s in pairs:  # grows while it is read: a new point with each generator
@@ -120,7 +123,7 @@ class PermGroup:
                         continue
                     residual = _sift(chain, _mul(_mul(table[p], s), _inv(table[q])))[0]
                     if residual != identity:
-                        queue.append(residual)
+                        queue.append((residual, level))
         object.__setattr__(self, "_chain", chain)
         return chain
 

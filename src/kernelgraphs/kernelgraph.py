@@ -163,14 +163,15 @@ def is_hull(g: Graph, *, node_budget: int | None = None) -> bool:
 
 
 def iterated_hull(g: Graph, *, node_budget: int | None = None) -> tuple[Graph, int]:
-    """Apply hull until it stops changing; returns (fixed point, steps used)."""
-    steps = 0
-    while True:
-        h = hull(g, node_budget=node_budget)
-        if h == g:
-            return g, steps
-        g = h
-        steps += 1
+    """The fixed point of repeated hulls and the steps taken to reach it, 0 or 1.
+
+    One step suffices, as hull is idempotent. An endomorphism f of g never
+    merges the ends of an edge xy of hull(g), nor sends them to a pair that
+    an endomorphism h of g merges, since h after f would merge x and y; so f
+    is an endomorphism of hull(g), and each pair it merges stays a non-edge.
+    """
+    h = hull(g, node_budget=node_budget)
+    return h, int(h != g)
 
 
 def derived_graph(g: Graph) -> Graph:

@@ -7,6 +7,7 @@ first, then generator j.
 from __future__ import annotations
 
 import functools
+from array import array
 
 from .errors import ClosureCapExceededError, _Budget
 from .graphs import Graph, _bits, _ir_search, _orbit
@@ -50,32 +51,44 @@ def _check_generators(generators) -> tuple[Transformation, ...]:
 class SemigroupClosure:
     """All products of the generators, with word recovery.
 
-    ``parents`` maps each element's image tuple to the image tuple it was
-    reached from (None for a generator) and the generator index applied.
+    ``images`` holds each element's image tuple in the order the closure
+    found it. Element k is element ``back[k]`` followed by generator
+    ``via[k]``, or generator ``via[k]`` itself when ``back[k]`` is -1, so
+    following ``back`` spells a word (Froidure & Pin, 1997). Elements are
+    wrapped as Transformations only when they are read.
     """
 
-    def __init__(self, generators, elements, parents):
+    def __init__(self, generators, images, back, via):
         self.generators = generators
-        self.elements = elements
+        self.images = images
+        self.back = back
+        self.via = via
         self.n = generators[0].n
-        self._parents = parents
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(Transformation._of, self.images)
 
     def __contains__(self, t) -> bool:
-        return isinstance(t, Transformation) and t.images in self._parents
+        return isinstance(t, Transformation) and t.images in self._index
+
+    @functools.cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {images: k for k, images in enumerate(self.images)}
+
+    @functools.cached_property
+    def elements(self) -> list[Transformation]:
+        return list(self)
 
     @functools.cached_property
     def element_set(self) -> frozenset[Transformation]:
-        return frozenset(self.elements)
+        return frozenset(self)
 
     @property
     def min_rank(self) -> int:
-        return min(t.rank for t in self.elements)
+        return min(len(set(images)) for images in self.images)
 
     @property
     def contains_constant(self) -> bool:
@@ -85,41 +98,49 @@ class SemigroupClosure:
         """Generator indices whose left-to-right product equals t."""
         if t not in self:
             raise KeyError(f"{t} is not in the closure")
+        back, via = self.back, self.via
         word: list[int] = []
-        cur = t.images
-        while cur is not None:
-            cur, gen_index = self._parents[cur]
-            word.append(gen_index)
+        k = self._index[t.images]
+        while k >= 0:
+            word.append(via[k])
+            k = back[k]
         word.reverse()
         return word
 
     def idempotents(self) -> list[Transformation]:
-        return [t for t in self.elements if t.is_idempotent()]
+        return idempotents(self)
 
 
 def close(generators, *, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
     """Breadth-first closure of the generators under composition.
 
-    The search runs on image tuples; each element is wrapped as a
-    Transformation once, in the order it was found.
+    The search runs on image tuples: ``found`` is the queue, never popped,
+    and a set of the same tuples, dropped on return, tests membership. Each
+    new element records the queue index of its prefix and its last
+    generator in two flat arrays.
     """
     gens = _check_generators(generators)
     images = [g.images for g in gens]
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {}
-    found: list[tuple[int, ...]] = []  # the BFS queue, never popped
+    seen: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
+    back, via = array("i"), array("i")
     for i, g in enumerate(images):
-        if g not in parents:
-            parents[g] = (None, i)
+        if g not in seen:
+            seen.add(g)
             found.append(g)
-    for t in found:
+            back.append(-1)
+            via.append(i)
+    for k, t in enumerate(found):  # grows while it is read
         for i, g in enumerate(images):
             new = _mul(t, g)
-            if new not in parents:
-                parents[new] = (t, i)
+            if new not in seen:
+                seen.add(new)
                 found.append(new)
+                back.append(k)
+                via.append(i)
                 if len(found) > cap:
                     raise ClosureCapExceededError(cap, len(found))
-    return SemigroupClosure(gens, [*map(Transformation._of, found)], parents)
+    return SemigroupClosure(gens, found, back, via)
 
 
 def transformation_of_word(generators, word) -> Transformation:
@@ -672,7 +693,7 @@ def idempotents(elements) -> list[Transformation]:
 def minimal_ideal(closure: SemigroupClosure) -> list[Transformation]:
     """The unique minimal two-sided ideal: all elements of minimal rank."""
     r = closure.min_rank
-    return [t for t in closure.elements if t.rank == r]
+    return [t for t in closure if t.rank == r]
 
 
 def left_zero_semigroup(closure: SemigroupClosure) -> list[Transformation]:

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
@@ -7,6 +9,7 @@ from kernelgraphs import graphs, groups, kernelgraph, semigroup
 from kernelgraphs.census import (
     REFERENCE_GROUP_TABLES,
     _census_entry,
+    _points,
     hull_preimages,
     random_sync_trials,
     run_census,
@@ -291,6 +294,14 @@ def test_random_sync_trials_pinned():
             "synchronizing": hits,
             "fraction": hits / 10000,
         }
+
+
+def test_points_are_the_randrange_draws():
+    for n in (1, 2, 20, 32, 33, 100):
+        for seed in (0, 1, 20260822):
+            rng = random.Random(seed)
+            expected = [rng.randrange(n) for _ in range(500)]
+            assert list(itertools.islice(_points(random.Random(seed), n), 500)) == expected
 
 
 def test_random_sync_trials_rates():

@@ -139,6 +139,21 @@ def test_complete_graph_group_order():
     assert automorphism_group(complete(20)).order() == math.factorial(20)
 
 
+def test_residuals_join_only_the_levels_below_their_origin(monkeypatch):
+    # adding each residual to every level it fixes took 4,785 sifts on K20
+    calls = 0
+    sift = groups._sift
+
+    def counting(chain, g):
+        nonlocal calls
+        calls += 1
+        return sift(chain, g)
+
+    monkeypatch.setattr(groups, "_sift", counting)
+    assert automorphism_group(complete(20)).order() == math.factorial(20)
+    assert calls <= 2_700
+
+
 def test_abelian_and_center():
     klein = PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)])
     assert klein.is_abelian()

@@ -346,6 +346,10 @@ def test_iterated_hull_stabilizes_in_one_step():
         assert steps <= 1
         assert is_hull(fixed)
     assert iterated_hull(complete(5)) == (complete(5), 0)
+    assert iterated_hull(path(4)) == (cycle(4), 1)
+
+
+def test_hull_is_idempotent_up_to_six_vertices():
     graphs = [g for n in range(1, 7) for g in generate_all(n)]
     assert len(graphs) == 208
     for g in graphs:

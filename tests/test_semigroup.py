@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -194,6 +195,56 @@ def test_close_order_and_words_are_pinned():
             assert transformation_of_word(gens, word) == t
         assert c.element_set == frozenset(c.elements)
         assert all(t in c for t in gens)
+
+
+def closure_fingerprint_sets():
+    yield full_transformation_generators(4)
+    yield from pinned_generator_sets()
+    yield [T("[2,3,4,1]")]
+    yield [T("[3,3,4,3]"), T("[3,3,2,4]")]
+    yield [T("[2,1,1]")] * 3
+    yield [T("[1,1,3,3]"), T("[1,3,3,1]")]
+
+
+# SHA-256 of the text below, computed when close kept a (parent, generator)
+# dict and wrapped every element as it returned
+CLOSURE_FINGERPRINT = "05263ee78c1e3f8755d9509b26b16485f9b69c2dd2194c5e4895a275cf42e97b"
+
+
+def test_closure_fingerprint_is_pinned():
+    # element order, every word, len, contains_constant and min_rank of each set
+    digest = hashlib.sha256()
+    for gens in closure_fingerprint_sets():
+        c = close(gens)
+        digest.update(f"{len(c)} {c.contains_constant} {c.min_rank}\n".encode())
+        for t in c:
+            digest.update(f"{t} {','.join(map(str, c.word_of(t)))}\n".encode())
+    assert digest.hexdigest() == CLOSURE_FINGERPRINT
+
+
+def test_close_t6_peaks_under_200_bytes_per_element():
+    # the dict of (parent, generator) pairs and one wrapper per element peaked at 257
+    gens = full_transformation_generators(6)
+    tracemalloc.start()
+    try:
+        c = close(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c) == 6**6
+    assert peak < 200 * len(c), peak / len(c)
+
+
+@pytest.mark.slow
+def test_close_t7_words_round_trip():
+    gens = full_transformation_generators(7)
+    c = close(gens)
+    assert len(c) == 7**7 == 823_543
+    rng = random.Random(7)
+    for images in rng.sample(c.images, 200):
+        t = Transformation(images)
+        assert transformation_of_word(gens, c.word_of(t)) == t
+    assert c.word_of(gens[2]) == [2]
 
 
 def test_closure_membership_needs_a_transformation_on_its_points():
@@ -732,3 +783,4 @@ def test_idempotents_helper():
     c = close([T("[3,3,4,3]"), T("[3,3,2,4]")])
     for t in idempotents(c.elements):
         assert t * t == t
+    assert c.idempotents() == idempotents(c.elements) == [t for t in c if t * t == t]
