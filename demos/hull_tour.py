@@ -19,7 +19,6 @@ from kernelgraphs import (
     hamming,
     hull,
     is_hull,
-    iterated_hull,
     path,
     to_graph6,
     union_complete,
@@ -32,10 +31,8 @@ print("hull(P5) iso K(3,2):", are_isomorphic(hull(path(5)), complete_multipartit
 three_c5 = disjoint_union(cycle(5), 3)
 print("hull(3.C5) = 3.K5:", hull(three_c5) == disjoint_union(complete(5), 3))
 
-# One hull application always suffices.
-g = path(6)
-h, steps = iterated_hull(g)
-print(f"\nP6 stabilizes after {steps} hull step(s)")
+# One hull application always suffices: the hull is idempotent.
+print(f"\nhull(P6) is its own hull: {is_hull(hull(path(6)))}")
 
 # Complete multipartite graphs and unions of cliques are their own hulls.
 for parts in ([4, 2, 1], [3, 3, 2]):

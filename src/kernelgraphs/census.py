@@ -11,7 +11,6 @@ is reported as warnings on the summary, never as a failure.
 
 import csv
 import json
-import multiprocessing
 import os
 import random
 from collections import Counter
@@ -179,6 +178,8 @@ def _compute_rows(batch: list[str], workers: int):
     # leaving the pool terminates its workers at once, so an interrupt such as
     # the CLI's --time-limit neither waits for unfinished chunks nor loses
     # rows already yielded; imap yields rows in batch order
+    import multiprocessing  # here, so that calls which start no pool never load it
+
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
         yield from pool.imap(_census_entry, batch, chunksize=_CHUNK)
 

@@ -17,15 +17,9 @@ from pathlib import Path
 from .census import hull_preimages, random_sync_trials, run_census
 from .designs import OrthogonalArray, mols_complete, oa_extendible, oa_from_mols, oa_graph
 from .errors import BudgetExceededError, KernelGraphsError, ParseError
-from .graphs import Graph, from_graph6, to_graph6
+from .graphs import from_graph6, to_graph6
 from .groups import automorphism_group, group_name
-from .kernelgraph import (
-    closure_kernel_graph,
-    derived_graph,
-    hull,
-    iterated_hull,
-    kernel_graph,
-)
+from .kernelgraph import closure_kernel_graph, derived_graph, hull, kernel_graph
 from .mingen import minimal_generating_set
 from .semigroup import close, count_endomorphisms, synchronizing_word
 from .transform import parse_transformation_lines
@@ -73,15 +67,6 @@ def _cmd_kernel_graph(args) -> int:
 
 def _cmd_hull(args) -> int:
     g = from_graph6(args.graph.strip())
-    if args.iterate:
-        h, steps = iterated_hull(g, node_budget=args.node_budget)
-        payload = {
-            "graph6": to_graph6(h),
-            "is_hull": h == g,
-            "steps": steps,
-        }
-        text = f"{to_graph6(h)}\tis_hull={str(h == g).lower()}\tsteps={steps}"
-        return _emit(args, payload, text)
     h = hull(g, node_budget=args.node_budget)
     flag = h == g
     payload = {"graph6": to_graph6(h), "is_hull": flag}
@@ -345,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hull", parents=[common], help="hull of a graph")
     p.add_argument("graph", help="graph6 text")
-    p.add_argument("--iterate", action="store_true", help="repeat until a fixed point")
     p.set_defaults(func=_cmd_hull, budgets=("node_budget",))
 
     p = sub.add_parser("derived", parents=[common], help="derived graph on the same vertices")

@@ -568,9 +568,10 @@ def _orbit(points, generators) -> int:
 def _ir_search(g: Graph, budget: _Budget):
     """Individualization-refinement search (McKay & Piperno, 2014).
 
-    Returns ``(labelling, generators)``: the labelling old->new of the leaf
-    with the largest certificate, and automorphisms (old->new) that generate
-    Aut(G).  Each node refines its coloring and branches on every vertex of
+    Returns ``(labelling, generators, rows)``: the labelling old->new of the
+    leaf with the largest certificate, automorphisms (old->new) that generate
+    Aut(G), and that leaf's certificate: the adjacency rows of G relabeled
+    by it.  Each node refines its coloring and branches on every vertex of
     its first smallest non-singleton cell, except those in the orbit of an
     explored sibling under the automorphisms found so far that fix the
     node's path.  A leaf whose certificate equals the first or the best
@@ -633,7 +634,7 @@ def _ir_search(g: Graph, budget: _Budget):
         return depth
 
     visit([0] * n, [])
-    return tuple(best[1]), generators
+    return tuple(best[1]), generators, best[0]
 
 
 def canonical_permutation(g: Graph) -> tuple[int, ...]:
@@ -642,7 +643,7 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    return g.relabel(canonical_permutation(g))
+    return Graph.from_adj(_ir_search(g, _Budget(None, "canonical labelling search"))[2])
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -657,7 +658,7 @@ def are_isomorphic(g: Graph, h: Graph, *, node_budget: int | None = None) -> boo
     if g.degree_sequence() != h.degree_sequence():
         return False
     budget = _Budget(node_budget, "isomorphism search")
-    return g.relabel(_ir_search(g, budget)[0]) == h.relabel(_ir_search(h, budget)[0])
+    return _ir_search(g, budget)[2] == _ir_search(h, budget)[2]
 
 
 def automorphisms(g: Graph, *, node_budget: int | None = None) -> list[tuple[int, ...]]:

@@ -27,7 +27,6 @@ __all__ = [
     "closure_kernel_graph",
     "hull",
     "is_hull",
-    "iterated_hull",
     "derived_graph",
 ]
 
@@ -153,6 +152,11 @@ def hull(g: Graph, *, node_budget: int | None = None) -> Graph:
     ``node_budget`` caps every search of the call, each on its own: the
     search for an endomorphism merging a pair, and the automorphism search
     that spreads each verdict over the pair's orbit.
+
+    The hull is idempotent. An endomorphism f of g never merges the ends of
+    an edge xy of hull(g), nor sends them to a pair that an endomorphism h of
+    g merges, since h after f would merge x and y; so f is an endomorphism of
+    hull(g), and each pair it merges stays a non-edge.
     """
     return Graph(g.n, [*g.edges(), *_uncollapsible_nonedges(g, node_budget)])
 
@@ -160,18 +164,6 @@ def hull(g: Graph, *, node_budget: int | None = None) -> Graph:
 def is_hull(g: Graph, *, node_budget: int | None = None) -> bool:
     """True when hull(g) == g; stops at the first non-edge no endomorphism merges."""
     return next(_uncollapsible_nonedges(g, node_budget), None) is None
-
-
-def iterated_hull(g: Graph, *, node_budget: int | None = None) -> tuple[Graph, int]:
-    """The fixed point of repeated hulls and the steps taken to reach it, 0 or 1.
-
-    One step suffices, as hull is idempotent. An endomorphism f of g never
-    merges the ends of an edge xy of hull(g), nor sends them to a pair that
-    an endomorphism h of g merges, since h after f would merge x and y; so f
-    is an endomorphism of hull(g), and each pair it merges stays a non-edge.
-    """
-    h = hull(g, node_budget=node_budget)
-    return h, int(h != g)
 
 
 def derived_graph(g: Graph) -> Graph:

@@ -480,22 +480,9 @@ def hamming_complement_generators(m: int, n: int) -> GeneratingSet:
     """
     if m < 1 or n < 2:
         raise ValueError("need m >= 1 and n >= 2")
-    total = n**m
-    if total > _MAX_HAMMING_VERTICES:
-        raise UnsupportedParameterError(
-            f"supported up to {_MAX_HAMMING_VERTICES} vertices, got {total}"
-        )
-    base = hamming(m, n)
-    g = complement(base)
-    maps = []
-    for c in range(m):
-        stride = n ** (m - 1 - c)
-        images = [v - v // stride % n * stride for v in range(total)]
-        maps.append(Transformation(images))
-    _check_regenerates(g, tuple(maps))
-    nonedge_count = total * (total - 1) // 2 - g.edge_count
-    lb = _counting_lower_bound(total, nonedge_count, clique_number(base, limit=total))
-    return GeneratingSet(tuple(maps), lb == m, lb, "axis-lines")
+    return _coordinate_maps(
+        m, n, lambda: complement(hamming(m, n)), lambda v, part: v - part, "axis-lines"
+    )
 
 
 def hamming_distance_generators(m: int, n: int) -> GeneratingSet:
@@ -511,19 +498,30 @@ def hamming_distance_generators(m: int, n: int) -> GeneratingSet:
         raise UnsupportedParameterError(
             "binary alphabets give a perfect matching; use matching_generators"
         )
+    return _coordinate_maps(
+        m, n, lambda: categorical_power(n, m), lambda v, part: part, "coordinate-values"
+    )
+
+
+def _coordinate_maps(m: int, n: int, graph, image, method: str) -> GeneratingSet:
+    """One map per coordinate of the n^m words, checked against ``graph()``.
+
+    The map for coordinate c sends word v to ``image(v, part)``, where part is
+    v's symbol at c times that coordinate's place value.
+    """
     total = n**m
     if total > _MAX_HAMMING_VERTICES:
         raise UnsupportedParameterError(
             f"supported up to {_MAX_HAMMING_VERTICES} vertices, got {total}"
         )
-    g = categorical_power(n, m)
+    g = graph()
     maps = []
     for c in range(m):
         stride = n ** (m - 1 - c)
-        images = [v // stride % n * stride for v in range(total)]
-        maps.append(Transformation(images))
-    _check_regenerates(g, tuple(maps))
+        maps.append(Transformation([image(v, v // stride % n * stride) for v in range(total)]))
+    maps = tuple(maps)
+    _check_regenerates(g, maps)
     nonedge_count = total * (total - 1) // 2 - g.edge_count
     alpha = clique_number(complement(g), limit=total)
     lb = _counting_lower_bound(total, nonedge_count, alpha)
-    return GeneratingSet(tuple(maps), lb == m, lb, "coordinate-values")
+    return GeneratingSet(maps, lb == m, lb, method)

@@ -107,9 +107,6 @@ class SemigroupClosure:
         word.reverse()
         return word
 
-    def idempotents(self) -> list[Transformation]:
-        return idempotents(self)
-
 
 def close(generators, *, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
     """Breadth-first closure of the generators under composition.
@@ -616,18 +613,6 @@ def endomorphisms_iter(g: Graph, *, node_budget: int | None = None):
         yield Transformation._of(images)
 
 
-def _quotient(g: Graph, block_of, k: int) -> Graph:
-    """The graph on blocks 0..k-1 joining blocks that hold adjacent vertices.
-
-    ``block_of[v]`` is the block of vertex v; blocks must be independent in g.
-    """
-    adj = [0] * k
-    for v in range(g.n):
-        for u in _bits(g.adj[v]):
-            adj[block_of[v]] |= 1 << block_of[u]
-    return Graph.from_adj(adj)
-
-
 def quotient_by_pair(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
     """Merge non-adjacent v into u; returns (quotient, old->new vertex map)."""
     if g.has_edge(u, v):
@@ -636,15 +621,12 @@ def quotient_by_pair(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
         raise ValueError(f"bad vertex pair ({u},{v})")
     if u > v:
         u, v = v, u
-    mapping = []
+    mapping = tuple(u if w == v else w - (w > v) for w in range(g.n))
+    adj = [0] * (g.n - 1)
     for w in range(g.n):
-        if w == v:
-            mapping.append(u)
-        elif w > v:
-            mapping.append(w - 1)
-        else:
-            mapping.append(w)
-    return _quotient(g, mapping, g.n - 1), tuple(mapping)
+        for x in _bits(g.adj[w]):
+            adj[mapping[w]] |= 1 << mapping[x]
+    return Graph.from_adj(adj), mapping
 
 
 def _merging_endomorphism(

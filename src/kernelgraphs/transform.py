@@ -117,9 +117,6 @@ class Transformation:
         """self first, then other."""
         return compose(self, other)
 
-    def then(self, other: "Transformation") -> "Transformation":
-        return compose(self, other)
-
     @property
     def rank(self) -> int:
         return len(set(self.images))

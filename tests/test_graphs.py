@@ -13,6 +13,7 @@ from kernelgraphs.graphs import (
     automorphisms,
     canonical_form,
     canonical_graph,
+    canonical_permutation,
     cartesian_product,
     categorical_power,
     chromatic_number,
@@ -323,6 +324,7 @@ def test_canonical_graph_is_isomorphic_to_input():
     for _ in range(60):
         g = random_graph(rng, rng.randrange(1, 7))
         cg = canonical_graph(g)
+        assert cg == g.relabel(canonical_permutation(g))
         assert brute_isomorphic(g, cg)
         assert canonical_form(cg) == canonical_form(g)
         assert to_graph6(cg).encode("ascii") == canonical_form(g)
@@ -377,7 +379,7 @@ def test_automorphism_counts():
 def test_search_generators_span_the_brute_force_group():
     for n in range(1, 7):
         for g in generate_all(n):
-            _labelling, gens = _ir_search(g, _Budget(None, "test"))
+            _labelling, gens, _rows = _ir_search(g, _Budget(None, "test"))
             assert all(g.relabel(a) == g for a in gens)
             brute = sum(1 for p in itertools.permutations(range(n)) if g.relabel(p) == g)
             assert PermGroup(n, gens).order() == brute

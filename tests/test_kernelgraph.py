@@ -28,7 +28,6 @@ from kernelgraphs.kernelgraph import (
     derived_graph,
     hull,
     is_hull,
-    iterated_hull,
     kernel_graph,
 )
 from kernelgraphs.semigroup import (
@@ -336,17 +335,6 @@ def test_is_hull_strongly_regular_families():
     assert is_hull(paley(9))
     # T(5) is a core (clique 4, chromatic 5): nothing collapses, hull is complete
     assert hull(triangular(5)) == complete(10)
-
-
-def test_iterated_hull_stabilizes_in_one_step():
-    rng = random.Random(157)
-    for _ in range(40):
-        g = random_graph(rng, rng.randrange(1, 7))
-        fixed, steps = iterated_hull(g)
-        assert steps <= 1
-        assert is_hull(fixed)
-    assert iterated_hull(complete(5)) == (complete(5), 0)
-    assert iterated_hull(path(4)) == (cycle(4), 1)
 
 
 def test_hull_is_idempotent_up_to_six_vertices():

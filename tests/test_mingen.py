@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -461,3 +462,20 @@ def test_hamming_rejections():
         hamming_distance_generators(1, 4)
     with pytest.raises(UnsupportedParameterError):
         hamming_complement_generators(4, 4)  # 256 vertices
+
+
+def test_hamming_constructions_pinned():
+    # the parameter lists of the benchmark's construction checks
+    lines = []
+    shared = [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (2, 8), (4, 3)]
+    for build, params in (
+        (hamming_complement_generators, shared + [(2, 11)]),
+        (hamming_distance_generators, shared),
+    ):
+        for m, n in params:
+            gs = build(m, n)
+            lines.append(f"{build.__name__} {m} {n} {gs.size} {gs.minimal} {gs.lower_bound}")
+            lines.append(gs.method)
+            lines.extend(str(t) for t in gs.transformations)
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == "a0b65f004157a07f7f1b9919309606afe15131fc8e56ac5a32686c93a8b428c2"

@@ -28,7 +28,6 @@ from kernelgraphs.semigroup import (
     _orbit_roots,
     _order,
     _pair_collapse_table,
-    _quotient,
     _stabilizer_orbits,
     close,
     collapsible,
@@ -650,19 +649,6 @@ def test_homomorphism_budget_is_exact(search, nodes, result):
     assert search(nodes) == result
 
 
-def test_block_quotient_matches_quotient_by_pair():
-    for g in (C8, C5P3):
-        for u, v in itertools.combinations(range(g.n), 2):
-            if g.has_edge(u, v):
-                continue
-            blocks = tuple(1 << w | (1 << v if w == u else 0) for w in range(g.n) if w != v)
-            block_of = [next(i for i, b in enumerate(blocks) if b >> w & 1) for w in range(g.n)]
-            quotient = _quotient(g, block_of, len(blocks))
-            assert (quotient, tuple(block_of)) == quotient_by_pair(g, u, v)
-            merged = {tuple(sorted((block_of[a], block_of[b]))) for a, b in g.edges()}
-            assert set(quotient.edges()) == merged
-
-
 def test_quotient_by_pair():
     g = cycle(4)
     q, mapping = quotient_by_pair(g, 0, 2)
@@ -671,6 +657,16 @@ def test_quotient_by_pair():
     assert sorted(q.edges()) == [(0, 1), (0, 2)]
     with pytest.raises(ValueError):
         quotient_by_pair(g, 0, 1)
+    for g in (C8, C5P3):
+        for u, v in itertools.combinations(range(g.n), 2):
+            if g.has_edge(u, v):
+                continue
+            blocks = tuple(1 << w | (1 << v if w == u else 0) for w in range(g.n) if w != v)
+            block_of = [next(i for i, b in enumerate(blocks) if b >> w & 1) for w in range(g.n)]
+            quotient, mapping = quotient_by_pair(g, v, u)
+            assert mapping == tuple(block_of)
+            merged = {tuple(sorted((block_of[a], block_of[b]))) for a, b in g.edges()}
+            assert set(quotient.edges()) == merged
 
 
 def test_collapsible_basics():
@@ -783,4 +779,4 @@ def test_idempotents_helper():
     c = close([T("[3,3,4,3]"), T("[3,3,2,4]")])
     for t in idempotents(c.elements):
         assert t * t == t
-    assert c.idempotents() == idempotents(c.elements) == [t for t in c if t * t == t]
+    assert idempotents(c) == idempotents(c.elements) == [t for t in c if t * t == t]
