@@ -649,6 +649,20 @@ def test_homomorphism_budget_is_exact(search, nodes, result):
     assert search(nodes) == result
 
 
+def test_block_quotient_matches_quotient_by_pair():
+    for g in (C8, C5P3):
+        for u, v in itertools.combinations(range(g.n), 2):
+            if g.has_edge(u, v):
+                continue
+            blocks = tuple(1 << w | (1 << v if w == u else 0) for w in range(g.n) if w != v)
+            block_of = [next(i for i, b in enumerate(blocks) if b >> w & 1) for w in range(g.n)]
+            quotient, mapping = quotient_by_pair(g, u, v)
+            assert mapping == tuple(block_of)
+            assert (quotient, mapping) == quotient_by_pair(g, v, u)
+            merged = {tuple(sorted((block_of[a], block_of[b]))) for a, b in g.edges()}
+            assert set(quotient.edges()) == merged
+
+
 def test_quotient_by_pair():
     g = cycle(4)
     q, mapping = quotient_by_pair(g, 0, 2)
@@ -657,16 +671,6 @@ def test_quotient_by_pair():
     assert sorted(q.edges()) == [(0, 1), (0, 2)]
     with pytest.raises(ValueError):
         quotient_by_pair(g, 0, 1)
-    for g in (C8, C5P3):
-        for u, v in itertools.combinations(range(g.n), 2):
-            if g.has_edge(u, v):
-                continue
-            blocks = tuple(1 << w | (1 << v if w == u else 0) for w in range(g.n) if w != v)
-            block_of = [next(i for i, b in enumerate(blocks) if b >> w & 1) for w in range(g.n)]
-            quotient, mapping = quotient_by_pair(g, v, u)
-            assert mapping == tuple(block_of)
-            merged = {tuple(sorted((block_of[a], block_of[b]))) for a, b in g.edges()}
-            assert set(quotient.edges()) == merged
 
 
 def test_collapsible_basics():
