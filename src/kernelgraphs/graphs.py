@@ -9,6 +9,7 @@ The graph6 text format is the interchange format throughout the package.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache, reduce
 
 from .errors import ParseError, UnsupportedParameterError, _Budget
@@ -534,22 +535,6 @@ def from_graph6(text: str, *, line: int | None = None) -> Graph:
 
 # ------------------------------------------------- canonical form & isomorphism
 
-def _wl_colors(neighbors, colors: list[int]) -> list[int]:
-    """Signature-sorted equitable refinement from the given coloring."""
-    count = len(set(colors))
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted([colors[u] for u in nv])))
-            for v, nv in enumerate(neighbors)
-        ]
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [ranking[s] for s in sigs]
-        new_count = len(ranking)
-        if new_count == count:
-            return colors
-        count = new_count
-
-
 def _orbit(points, generators) -> int:
     """Bitset of the orbit of ``points`` under the group the generators span."""
     frontier = list(points)
@@ -565,51 +550,106 @@ def _orbit(points, generators) -> int:
     return orbit
 
 
+def _refine(adj, order: list[int], color: list[int], ends: list[int], keys, live: int) -> int:
+    """Refine an ordered partition in place until it is equitable.
+
+    ``order`` lists the vertices cell by cell.  A cell's colour is the
+    position of its first vertex: ``color[v]`` is v's and ``ends[p]`` is
+    where the cell at p ends, so a split renumbers no other cell.  Each
+    synchronous round splits the cells that ``keys`` (vertex -> key) touch
+    in place, by descending key, then keys the next round by the pieces
+    made, each split cell's last piece left out: members of one cell agree
+    on every older cell, so their counts in it follow from the others.  A
+    vertex's key lists |N(u) & piece| - p * (n + 1) over the pieces at
+    positions p next to it, ascending in p, so descending keys put a cell's
+    members in ascending order of their sorted neighbour colours (McKay &
+    Piperno, 2014).  ``live`` holds the vertices of non-singleton cells; the
+    updated set is returned.
+    """
+    stride = len(order) + 1
+    while keys:
+        pieces = []
+        for s in sorted({color[u] for u in keys}):
+            e = ends[s]
+            members = sorted(order[s:e], key=keys.__getitem__, reverse=True)
+            last = keys[members[0]]
+            if last == keys[members[-1]]:
+                continue
+            order[s:e] = members
+            start = s
+            for i, u in enumerate(members, s):
+                if keys[u] != last:
+                    if i - start == 1:
+                        live ^= 1 << members[start - s]
+                    pieces.append(start)
+                    ends[start] = start = i
+                    last = keys[u]
+                color[u] = start
+            if e - start == 1:
+                live ^= 1 << members[-1]
+            ends[start] = e
+        keys = defaultdict(list)  # a member next to no piece keys as []
+        for p in pieces:
+            mask = reach = 0
+            for w in order[p : ends[p]]:
+                mask |= 1 << w
+                reach |= adj[w]
+            reach &= live
+            base = -p * stride
+            while reach:
+                b = reach & -reach
+                reach ^= b
+                u = b.bit_length() - 1
+                keys[u].append(base + (adj[u] & mask).bit_count())
+    return live
+
+
 def _ir_search(g: Graph, budget: _Budget):
     """Individualization-refinement search (McKay & Piperno, 2014).
 
     Returns ``(labelling, generators, rows)``: the labelling old->new of the
     leaf with the largest certificate, automorphisms (old->new) that generate
     Aut(G), and that leaf's certificate: the adjacency rows of G relabeled
-    by it.  Each node refines its coloring and branches on every vertex of
-    its first smallest non-singleton cell, except those in the orbit of an
-    explored sibling under the automorphisms found so far that fix the
-    node's path.  A leaf whose certificate equals the first or the best
-    leaf's gives an automorphism; the search then resumes at the deepest
-    node the two leaves share, whose branch into the new leaf is the image
-    of an explored one.  ``budget`` ticks once per node.
+    by it.  The root splits the vertices by ascending degree and refines; a
+    child individualizes v, putting v first in its cell, and refines.  Each
+    node branches on every vertex of its first smallest non-singleton cell,
+    except those in the orbit of an explored sibling under the automorphisms
+    found so far that fix the node's path.  A leaf whose certificate equals
+    the first or the best leaf's gives an automorphism; the search then
+    resumes at the deepest node the two leaves share, whose branch into the
+    new leaf is the image of an explored one.  ``budget`` ticks once per node.
     """
     n = g.n
     neighbors = [tuple(_bits(a)) for a in g.adj]
     generators: list[tuple[int, ...]] = []
     first = best = None  # (certificate, labelling, path) of a leaf
 
-    def visit(colors: list[int], path: list[int]) -> int:
+    def visit(order, color, ends, keys, live: int, path: list[int]) -> int:
         # returns the depth at which the search resumes
         nonlocal first, best
         budget.tick()
-        colors = _wl_colors(neighbors, colors)
+        live = _refine(g.adj, order, color, ends, keys, live)
         depth = len(path)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        if len(cells) == n:
+        s, size, p = 0, n + 1, 0
+        while p < n:
+            e = ends[p]
+            if 1 < e - p < size:
+                s, size = p, e - p
+            p = e
+        if size > n:
             rows = [0] * n  # the adjacency rows relabeled by the leaf
             for v, nv in enumerate(neighbors):
                 row = 0
                 for u in nv:
-                    row |= 1 << colors[u]
-                rows[colors[v]] = row
-            leaf = (tuple(rows), colors, path)
+                    row |= 1 << color[u]
+                rows[color[v]] = row
+            leaf = (tuple(rows), color, path)
             if first is None:
                 first = best = leaf
                 return depth
             for ref in (first, best):
                 if leaf[0] == ref[0]:
-                    position = [0] * n
-                    for v, c in enumerate(colors):
-                        position[c] = v
-                    generators.append(tuple(position[c] for c in ref[1]))
+                    generators.append(tuple(order[c] for c in ref[1]))
                     shared = 0
                     while path[shared] == ref[2][shared]:
                         shared += 1
@@ -617,15 +657,14 @@ def _ir_search(g: Graph, budget: _Budget):
             if leaf[0] > best[0]:
                 best = leaf
             return depth
-        target = min((cells[c] for c in sorted(cells) if len(cells[c]) > 1), key=len)
+        target = sorted(order[s : s + size])
         explored: list[int] = []
         pruned = 0
         for v in target:
             if pruned >> v & 1:
                 continue
-            branched = [c * 2 for c in colors]
-            branched[v] -= 1
-            resume = visit(branched, path + [v])
+            keys = {u: u == v for u in target}
+            resume = visit(order[:], color[:], ends[:], keys, live, path + [v])
             if resume < depth:
                 return resume
             explored.append(v)
@@ -633,7 +672,8 @@ def _ir_search(g: Graph, budget: _Budget):
             pruned = _orbit(explored, fixing)
         return depth
 
-    visit([0] * n, [])
+    degrees = {v: -a.bit_count() for v, a in enumerate(g.adj)}
+    visit(list(range(n)), [0] * n, [n] * n, degrees, (1 << n) - 1, [])
     return tuple(best[1]), generators, best[0]
 
 

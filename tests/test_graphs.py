@@ -385,6 +385,48 @@ def test_search_generators_span_the_brute_force_group():
             assert PermGroup(n, gens).order() == brute
 
 
+def test_search_outputs_pinned():
+    # SHA-256 over labelling, generators, rows and node count of every search
+    rng = random.Random(71)
+    cases = [g for n in range(1, 8) for g in generate_all(n)]
+    cases += [
+        cartesian_product(cycle(5), cycle(5)),
+        cartesian_product(cycle(5), path(3)),
+        hamming(3, 3),
+        hamming(4, 2),
+        shrikhande(),
+        complete(30),
+        null_graph(20),
+        union_complete([2] * 10),
+    ]
+    cases += [random_graph(rng, rng.randint(8, 30), rng.random()) for _ in range(100)]
+    digest = hashlib.sha256()
+    for g in cases:
+        budget = _Budget(None, "test")
+        labelling, gens, rows = _ir_search(g, budget)
+        digest.update(repr((labelling, gens, rows, budget.used)).encode("ascii"))
+    assert digest.hexdigest() == (
+        "39a74a10f694bdd78b297a14fc19ba8a833fe9ec9bc508d8ab459295353ab967"
+    )
+
+
+def test_search_budget_on_k40():
+    budget = _Budget(None, "test")
+    _ir_search(complete(40), budget)
+    assert budget.used == 820
+    with pytest.raises(BudgetExceededError):
+        _ir_search(complete(40), _Budget(819, "test"))
+
+
+def test_empty_and_one_vertex_graphs():
+    for n, form, labelling in [(0, b"?", ()), (1, b"@", (0,))]:
+        g = null_graph(n)
+        assert canonical_form(g) == form
+        assert canonical_permutation(g) == labelling
+        assert automorphism_group(g).order() == 1
+        assert are_isomorphic(g, null_graph(n))
+
+
 def test_automorphism_group_orders_of_paper_families():
     cases = [
         (hamming(4, 2), 384),
