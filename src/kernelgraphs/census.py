@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
 
-from .errors import UnsupportedParameterError
+from .errors import UnsupportedParameterError, _Budget
 from .graphs import Graph, canonical_form, from_graph6, generate_all, to_graph6
 from .groups import automorphism_group, group_name
 from .kernelgraph import hull
@@ -116,7 +116,7 @@ class CensusSummary:
 def _census_entry(g6: str) -> dict:
     """Worker unit: the omega-colourings decide hull-ness; hulls get full detail."""
     g = from_graph6(g6)
-    endo = _minimum(g, True, None)
+    endo = _minimum(g, True, _Budget(None, "colouring walk"))
     if endo is None:
         return {"graph6": g6, "is_hull": False}
     group = automorphism_group(g)

@@ -287,7 +287,7 @@ def _common_options(*, for_subcommand: bool) -> argparse.ArgumentParser:
         "--node-budget",
         type=_at_least(0),
         default=default(None),
-        help="search node cap for homomorphism, cover and automorphism searches",
+        help="search node cap for the whole call, summed over its searches",
     )
     g.add_argument(
         "--time-limit",

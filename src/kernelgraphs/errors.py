@@ -42,7 +42,7 @@ class BudgetExceededError(KernelGraphsError, RuntimeError):
 
 
 class _Budget:
-    """Node counter for one backtracking search; raises once past ``limit``."""
+    """Node counter shared by every search of one call; raises past ``limit``, naming ``what``."""
 
     __slots__ = ("limit", "used", "what")
 

@@ -306,8 +306,6 @@ def max_clique(g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> tuple[int, int]
     n = g.n
     if limit is not None and n > limit:
         raise UnsupportedParameterError(f"exact clique limited to {limit} vertices, got {n}")
-    if n == 0:
-        return 0, 0
     adj = g.adj
     best = [0, 0]
 
@@ -368,27 +366,28 @@ def k_color(
     Exact DSATUR-ordered backtracking; new colors are introduced in index
     order, which prunes color permutations. ``precolor`` pins vertices.
     """
+    return _k_color(g, k, precolor or {}, _Budget(node_budget, "coloring search"))
+
+
+def _k_color(g: Graph, k: int, precolor: dict[int, int], budget: _Budget):
+    """``k_color``, ticking the caller's ``budget`` once per search node."""
     n = g.n
     if k < 0:
         raise ValueError("negative color count")
-    if n == 0:
-        return []
     adj = g.adj
     color = [-1] * n
     forbidden = [0] * n  # bitset of colors used by neighbors
     used_colors = 0
-    if precolor:
-        for v, c in precolor.items():
-            if not 0 <= c < k:
-                raise ValueError(f"precolor {c} outside 0..{k - 1}")
-            color[v] = c
-            used_colors = max(used_colors, c + 1)
-        for v, c in precolor.items():
-            for u in _bits(adj[v]):
-                if color[u] == c:
-                    return None
-                forbidden[u] |= 1 << c
-    budget = _Budget(node_budget, "coloring search")
+    for v, c in precolor.items():
+        if not 0 <= c < k:
+            raise ValueError(f"precolor {c} outside 0..{k - 1}")
+        color[v] = c
+        used_colors = max(used_colors, c + 1)
+    for v, c in precolor.items():
+        for u in _bits(adj[v]):
+            if color[u] == c:
+                return None
+            forbidden[u] |= 1 << c
     degree = [a.bit_count() for a in adj]
 
     def choose() -> int:
@@ -440,17 +439,15 @@ def k_color(
 def chromatic_number(
     g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT, node_budget: int | None = None
 ) -> int:
-    """Exact chromatic number: try k-colorings upward from the clique number."""
+    """Exact chromatic number: k-colorings upward from omega, every k on one node budget."""
     n = g.n
     if limit is not None and n > limit:
         raise UnsupportedParameterError(f"exact coloring limited to {limit} vertices, got {n}")
-    if n == 0:
-        return 0
     size, witness = max_clique(g, limit=limit)
-    clique_vertices = list(_bits(witness))
+    precolor = {v: i for i, v in enumerate(_bits(witness))}
+    budget = _Budget(node_budget, "coloring search")
     for k in range(size, n + 1):
-        precolor = {v: i for i, v in enumerate(clique_vertices)}
-        if k_color(g, k, precolor=precolor, node_budget=node_budget) is not None:
+        if _k_color(g, k, precolor, budget) is not None:
             return k
     raise AssertionError("unreachable: n colors always suffice")
 

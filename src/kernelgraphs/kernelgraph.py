@@ -35,28 +35,31 @@ class KernelGraphResult:
     """Kernel graph plus the rank data that came out of the computation.
 
     ``kernels`` holds the distinct kernels of the minimal-rank members,
-    sorted by blocks, or None when no member list was formed. For
-    ``kernel_graph`` they are partitioned on first access.
+    sorted by blocks, or None when no member list was formed.
     """
 
-    __slots__ = ("graph", "min_rank", "_kernels", "_members")
+    __slots__ = ("graph", "min_rank", "kernels")
 
     def __init__(self, graph: Graph, min_rank: int | None, kernels):
         self.graph = graph
         self.min_rank = min_rank
-        self._kernels = kernels
-        self._members = None  # members whose minimal-rank kernels are not built yet
-
-    @property
-    def kernels(self):
-        if self._members is not None:
-            least = {t.kernel() for t in self._members if t.rank == self.min_rank}
-            self._kernels = tuple(sorted(least, key=lambda p: p.blocks))
-            self._members = None
-        return self._kernels
+        self.kernels = kernels
 
     def __repr__(self) -> str:
         return f"<KernelGraphResult n={self.graph.n} min_rank={self.min_rank}>"
+
+
+def _kernel_adjacency(members, size: int) -> list[int]:
+    """Adjacency bitsets of the kernel graph of ``members``, transformations on ``size`` points."""
+    # start complete, then drop every pair that some member maps to one point
+    adj = [((1 << size) - 1) ^ (1 << v) for v in range(size)]
+    for t in members:
+        preimage = [0] * size
+        for v, x in enumerate(t.images):
+            preimage[x] |= 1 << v
+        for v, x in enumerate(t.images):
+            adj[v] &= ~preimage[x]
+    return adj
 
 
 def kernel_graph(members, n: int | None = None) -> KernelGraphResult:
@@ -75,17 +78,10 @@ def kernel_graph(members, n: int | None = None) -> KernelGraphResult:
             raise ValueError(f"members act on different point counts: {t.n} vs {size}")
     if n is not None and n != size:
         raise ValueError(f"n={n} disagrees with members on {size} points")
-    # start complete, then drop every pair that some member maps to one point
-    adj = [((1 << size) - 1) ^ (1 << v) for v in range(size)]
-    for t in members:
-        preimage = [0] * size
-        for v, x in enumerate(t.images):
-            preimage[x] |= 1 << v
-        for v, x in enumerate(t.images):
-            adj[v] &= ~preimage[x]
-    result = KernelGraphResult(Graph.from_adj(adj), min(t.rank for t in members), None)
-    result._members = members
-    return result
+    min_rank = min(t.rank for t in members)
+    least = {t.kernel() for t in members if t.rank == min_rank}
+    kernels = tuple(sorted(least, key=lambda p: p.blocks))
+    return KernelGraphResult(Graph.from_adj(_kernel_adjacency(members, size)), min_rank, kernels)
 
 
 def closure_kernel_graph(generators) -> KernelGraphResult:
@@ -105,7 +101,7 @@ def closure_kernel_graph(generators) -> KernelGraphResult:
     return KernelGraphResult(graph, min_rank_of_generators(gens), None)
 
 
-def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
+def _uncollapsible_nonedges(g: Graph, budget: _Budget):
     """Non-adjacent pairs (u, v), u < v, that no endomorphism of g merges, ascending.
 
     One search settles more than its own pair. Every pair that the
@@ -115,7 +111,7 @@ def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
     search runs only once a second pair search is needed, so a graph that
     one map settles pays for no group; from then on the first image of
     every pair search is pruned to the least vertex of each Aut(G)-orbit.
-    ``node_budget`` caps each search on its own.
+    The automorphism search and every pair search tick the one ``budget``.
     """
     orbit: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> least pair of its orbit
     roots = None  # bitset of Aut(G)'s orbit minima, once the automorphism search has run
@@ -127,13 +123,14 @@ def _uncollapsible_nonedges(g: Graph, node_budget: int | None):
             label = orbit.get((u, v), (u, v))
             if label not in verdict and verdict and not orbit:
                 # a second search is due: from now on verdicts spread over orbits
-                generators = _ir_search(g, _Budget(node_budget, "automorphism search"))[1]
+                budget.what = "automorphism search"
+                generators = _ir_search(g, budget)[1]
                 orbit = PermGroup(g.n, generators).pair_orbits()
                 roots = sum(1 << r for r in _orbit_roots(g.n, generators))
                 verdict = {orbit[p]: merged for p, merged in verdict.items()}
                 label = orbit[(u, v)]
             if label not in verdict:
-                images = _merging_endomorphism(g, u, v, node_budget, roots)
+                images = _merging_endomorphism(g, u, v, budget, roots)
                 if images is None:
                     verdict[label] = False
                 else:
@@ -149,21 +146,22 @@ def hull(g: Graph, *, node_budget: int | None = None) -> Graph:
 
     Two vertices are adjacent in the hull exactly when no endomorphism of g
     merges them. The input is always a spanning subgraph of its hull.
-    ``node_budget`` caps every search of the call, each on its own: the
-    search for an endomorphism merging a pair, and the automorphism search
-    that spreads each verdict over the pair's orbit.
+    ``node_budget`` caps the search nodes of the whole call, summed over its
+    pair searches and its automorphism search.
 
     The hull is idempotent. An endomorphism f of g never merges the ends of
     an edge xy of hull(g), nor sends them to a pair that an endomorphism h of
     g merges, since h after f would merge x and y; so f is an endomorphism of
     hull(g), and each pair it merges stays a non-edge.
     """
-    return Graph(g.n, [*g.edges(), *_uncollapsible_nonedges(g, node_budget)])
+    budget = _Budget(node_budget, "homomorphism search")
+    return Graph(g.n, [*g.edges(), *_uncollapsible_nonedges(g, budget)])
 
 
 def is_hull(g: Graph, *, node_budget: int | None = None) -> bool:
     """True when hull(g) == g; stops at the first non-edge no endomorphism merges."""
-    return next(_uncollapsible_nonedges(g, node_budget), None) is None
+    budget = _Budget(node_budget, "homomorphism search")
+    return next(_uncollapsible_nonedges(g, budget), None) is None
 
 
 def derived_graph(g: Graph) -> Graph:

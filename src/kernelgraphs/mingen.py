@@ -44,8 +44,8 @@ from .graphs import (
     square_lattice,
     union_complete,
 )
-from .kernelgraph import _uncollapsible_nonedges, kernel_graph
-from .semigroup import homomorphisms_iter
+from .kernelgraph import _kernel_adjacency, _uncollapsible_nonedges
+from .semigroup import _maps
 from .transform import Partition, Transformation
 
 
@@ -68,7 +68,7 @@ class GeneratingSet:
 
 
 def _check_regenerates(g: Graph, maps) -> None:
-    if kernel_graph(list(maps), n=g.n).graph != g:
+    if Graph.from_adj(_kernel_adjacency(maps, g.n)) != g:
         raise KernelGraphsError("generating set does not reproduce the target graph")
 
 
@@ -77,13 +77,14 @@ def _check_regenerates(g: Graph, maps) -> None:
 _EXHAUSTIVE_LIMIT = 10
 
 
-def _complete_colourings(g: Graph, most: int):
+def _complete_colourings(g: Graph, most: int, budget: _Budget):
     """Partitions into at most ``most`` independent blocks, each two joined.
 
     Yields ``(block_of, mask)``: the block index of each vertex, and the
     merged pairs with pair u < v as bit u*n + v. ``block_of`` is live and
-    changes after the next item.
+    changes after the next item. ``budget`` ticks once per vertex placed.
     """
+    budget.what = "colouring walk"
     adj = g.adj
     n = g.n
     # per block: its vertices, the OR of 1 << u*n over them, and the OR of
@@ -92,6 +93,7 @@ def _complete_colourings(g: Graph, most: int):
     block_of = [0] * n
 
     def place(v: int, mask: int):
+        budget.tick()
         if v == n:
             if all(r & b for k, (_, _, r) in enumerate(state) for b, _, _ in state[:k]):
                 yield block_of, mask
@@ -113,8 +115,9 @@ def _complete_colourings(g: Graph, most: int):
     yield from place(0, 0)
 
 
-def _min_cover(masks: list[int], full: int, *, node_budget: int | None = None) -> list[int]:
+def _min_cover(masks: list[int], full: int, budget: _Budget) -> list[int]:
     """Indices of a minimum subfamily of masks covering all bits of full."""
+    budget.what = "cover search"
     covered = 0
     greedy: list[int] = []
     while covered != full:
@@ -125,7 +128,6 @@ def _min_cover(masks: list[int], full: int, *, node_budget: int | None = None) -
     maxpop = max(mk.bit_count() for mk in masks)
     best = greedy
     chosen: list[int] = []
-    budget = _Budget(node_budget, "cover search")
 
     def search(covered: int) -> None:
         nonlocal best
@@ -157,17 +159,19 @@ def minimal_generating_set(
 
     With ``within_endomorphisms`` every member must additionally be an
     endomorphism of g; that variant is solvable exactly when g is a hull,
-    and NotAHullError reports the obstruction otherwise.
+    and NotAHullError reports the obstruction otherwise. ``node_budget`` caps
+    the search nodes of the whole call, summed over its stages.
     """
-    found = _minimum(g, within_endomorphisms, node_budget)
+    budget = _Budget(node_budget, "colouring walk")
+    found = _minimum(g, within_endomorphisms, budget)
     if found is None:
-        pairs = _uncollapsible_nonedges(g, node_budget)
+        pairs = _uncollapsible_nonedges(g, budget)
         listed = ", ".join(f"({u + 1},{v + 1})" for u, v in pairs)
         raise NotAHullError(f"no endomorphism merges the pair(s) {listed}")
     return found
 
 
-def _minimum(g: Graph, within_endomorphisms: bool, node_budget: int | None):
+def _minimum(g: Graph, within_endomorphisms: bool, budget: _Budget):
     """``minimal_generating_set``, or None when its omega-colourings show g is no hull."""
     n = g.n
     full = sum(  # the non-edges u < v, as bits u*n + v
@@ -181,7 +185,7 @@ def _minimum(g: Graph, within_endomorphisms: bool, node_budget: int | None):
             "use a family constructor for larger graphs"
         )
     most = clique_number(g) if within_endomorphisms else n
-    cands = [(tuple(block_of), mask) for block_of, mask in _complete_colourings(g, most)]
+    cands = [(tuple(block_of), mask) for block_of, mask in _complete_colourings(g, most, budget)]
     cands.sort(key=lambda c: -c[1].bit_count())
     if within_endomorphisms:
         union = 0
@@ -189,10 +193,11 @@ def _minimum(g: Graph, within_endomorphisms: bool, node_budget: int | None):
             union |= mask
         if union != full:
             return None
-    chosen = _min_cover([mask for _, mask in cands], full, node_budget=node_budget)
+    chosen = _min_cover([mask for _, mask in cands], full, budget)
     if within_endomorphisms:
         # every chosen colouring has quotient K_omega: send its blocks onto one clique
-        clique = next(homomorphisms_iter(complete(most), g, node_budget=node_budget))
+        budget.what = "clique map"
+        clique = next(_maps(complete(most), g, range(most), budget))
         maps = tuple(Transformation([clique[b] for b in cands[i][0]]) for i in chosen)
         method = "exhaustive-endomorphic"
     else:
@@ -252,7 +257,7 @@ def matching_generators(copies: int) -> GeneratingSet:
 _REFUTATION_CACHE: dict[tuple[int, int], bool] = {}
 
 
-def _matching_refuted(copies: int, k: int, *, node_budget: int | None = None) -> bool:
+def _matching_refuted(copies: int, k: int, *, node_budget: _Budget | None = None) -> bool:
     """True when no k independent-block partitions cover a copies-edge matching.
 
     Partitions of the matching correspond exactly to assignments of an ordered
@@ -266,7 +271,7 @@ def _matching_refuted(copies: int, k: int, *, node_budget: int | None = None) ->
     cached = _REFUTATION_CACHE.get((copies, k))
     if cached is not None:
         return cached
-    budget = _Budget(node_budget, "matching refutation")
+    tick = node_budget.tick if node_budget is not None else lambda: None  # else unbounded
 
     def options(top: int) -> list[tuple[int, int]]:
         out = [(a, b) for a in range(top) for b in range(top) if a != b]
@@ -281,7 +286,7 @@ def _matching_refuted(copies: int, k: int, *, node_budget: int | None = None) ->
         second = len(assigned) == 1
 
         def place(m: int, tup: tuple, missing: list[int]) -> bool:
-            budget.tick()
+            tick()
             if m == k:
                 if any(missing):
                     return False
@@ -333,7 +338,7 @@ def matching_minimum_size(copies: int, *, node_budget: int | None = None) -> int
         return 0
     r = (copies - 1).bit_length()
     anchor = 2 ** (r - 1) + 1 if r > 1 else 2
-    if not _matching_refuted(anchor, r, node_budget=node_budget):
+    if not _matching_refuted(anchor, r, node_budget=_Budget(node_budget, "matching refutation")):
         raise KernelGraphsError(f"refutation failed at {anchor} edges, {r} partitions")
     return r + 1
 

@@ -515,8 +515,6 @@ def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -
     ten times slower in a trial). ``count_endomorphisms`` skips them, and
     prunes the second image by the root's stabilizer and isomorphic components.
     """
-    if g.n == 0:
-        return 1
     budget = _Budget(node_budget, "homomorphism count")
     total = 1
     for comp in g.components():
@@ -630,7 +628,7 @@ def quotient_by_pair(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _merging_endomorphism(
-    g: Graph, u: int, v: int, node_budget: int | None, roots: int | None = None
+    g: Graph, u: int, v: int, budget: _Budget, roots: int | None = None
 ) -> tuple[int, ...] | None:
     """An endomorphism of g that maps non-adjacent u and v together, or None.
 
@@ -640,7 +638,8 @@ def _merging_endomorphism(
     prune the search without changing the answer.
     """
     quotient, mapping = quotient_by_pair(g, u, v)
-    images = _first_map(quotient, g, _Budget(node_budget, "homomorphism search"), roots)
+    budget.what = "homomorphism search"
+    images = _first_map(quotient, g, budget, roots)
     return None if images is None else _mul(mapping, images)
 
 
@@ -649,7 +648,8 @@ def collapsible(g: Graph, u: int, v: int, *, node_budget: int | None = None) -> 
 
     Adjacent pairs are never collapsible.
     """
-    return not g.has_edge(u, v) and _merging_endomorphism(g, u, v, node_budget) is not None
+    budget = _Budget(node_budget, "homomorphism search")
+    return not g.has_edge(u, v) and _merging_endomorphism(g, u, v, budget) is not None
 
 
 # ------------------------------------------------------------ ideal structure

@@ -30,6 +30,7 @@ from kernelgraphs.graphs import (
     k_color,
     max_clique,
     null_graph,
+    paley,
     path,
     square_lattice,
     to_graph6,
@@ -282,6 +283,14 @@ def test_k_color_precolor_and_budget():
     assert k_color(complete(3), 3, precolor={0: 1, 1: 1}) is None
     with pytest.raises(BudgetExceededError):
         k_color(cycle(5), 3, node_budget=0)
+
+
+def test_chromatic_number_budget_covers_every_k():
+    # one budget for the call, summed over each k tried from the clique number up
+    for g, need in [(cycle(5), 6), (cycle(7), 10), (paley(13), 70)]:
+        with pytest.raises(BudgetExceededError, match="coloring search"):
+            chromatic_number(g, node_budget=need - 1)
+        assert chromatic_number(g, node_budget=need) == chromatic_number(g)
 
 
 def test_automorphism_budget_is_exact():

@@ -343,15 +343,18 @@ def test_matching_nine_keeps_the_carried_bound():
 
 
 def test_node_budget_caps_cover_search():
-    # every other search here needs far fewer nodes than the set cover
+    # one budget for the whole call: the colouring walk, then the cover
+    # search and, for the endomorphic variant, the map onto a clique
     c7 = cycle(7)
-    with pytest.raises(BudgetExceededError):
-        minimal_generating_set(c7, node_budget=252)
-    assert minimal_generating_set(c7, node_budget=253).size == 4
+    with pytest.raises(BudgetExceededError, match="cover search"):
+        minimal_generating_set(c7, node_budget=491)
+    assert minimal_generating_set(c7, node_budget=492).size == 4
     hull7 = from_graph6("F?CWw")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="colouring walk"):
         minimal_generating_set(hull7, within_endomorphisms=True, node_budget=100)
-    endo = minimal_generating_set(hull7, within_endomorphisms=True, node_budget=1233)
+    with pytest.raises(BudgetExceededError, match="clique map"):
+        minimal_generating_set(hull7, within_endomorphisms=True, node_budget=1424)
+    endo = minimal_generating_set(hull7, within_endomorphisms=True, node_budget=1425)
     assert endo.size == minimal_generating_set(hull7, within_endomorphisms=True).size
 
 

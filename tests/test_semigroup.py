@@ -562,8 +562,9 @@ def test_merging_endomorphism_unchanged_by_orbit_roots():
             roots = sum(1 << r for r in _orbit_roots(n, generators))
             for u, v in itertools.combinations(range(n), 2):
                 if not g.has_edge(u, v):
-                    plain = _merging_endomorphism(g, u, v, None)
-                    assert _merging_endomorphism(g, u, v, None, roots) == plain, (g, u, v)
+                    budget = _Budget(None, "homomorphism search")
+                    plain = _merging_endomorphism(g, u, v, budget)
+                    assert _merging_endomorphism(g, u, v, budget, roots) == plain, (g, u, v)
 
 
 def test_endomorphism_count_budget_covers_both_stages():
