@@ -10,6 +10,7 @@ is reported as warnings on the summary, never as a failure.
 """
 
 import csv
+import functools
 import json
 import os
 import random
@@ -21,9 +22,9 @@ from pathlib import Path
 
 from .errors import UnsupportedParameterError, _Budget
 from .graphs import Graph, canonical_form, from_graph6, generate_all, to_graph6
-from .groups import automorphism_group, group_name
+from .groups import PermGroup, automorphism_group, group_name
 from .kernelgraph import hull
-from .mingen import _minimum, minimal_generating_set
+from .mingen import _minimum, _needs, minimal_generating_set
 from .semigroup import is_synchronizing
 from .transform import Transformation
 
@@ -113,20 +114,29 @@ class CensusSummary:
         }
 
 
+@functools.cache
+def _group_row(degree: int, generators: frozenset) -> tuple[str, int]:
+    """Name and order of the group these permutations generate, once per process."""
+    group = PermGroup(degree, generators)
+    return group_name(group), group.order()
+
+
 def _census_entry(g6: str) -> dict:
     """Worker unit: the omega-colourings decide hull-ness; hulls get full detail."""
     g = from_graph6(g6)
     endo = _minimum(g, True, _Budget(None, "colouring walk"))
     if endo is None:
         return {"graph6": g6, "is_hull": False}
-    group = automorphism_group(g)
-    free = minimal_generating_set(g).size
+    name, order = _group_row(g.n, frozenset(automorphism_group(g).generators))
+    free = endo.size  # free <= endo, and the free search runs only when _needs falls short
+    if free and not _needs(g, free, _Budget(None, "cover bound")):
+        free = minimal_generating_set(g).size
     return {
         "graph6": g6,
         "is_hull": True,
         "edges": g.edge_count,
-        "aut_name": group_name(group),
-        "aut_order": group.order(),
+        "aut_name": name,
+        "aut_order": order,
         "min_generators": endo.size or 1,  # see SIZE_CONVENTION
         "min_generators_free": free or 1,
     }

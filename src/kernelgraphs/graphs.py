@@ -298,6 +298,26 @@ def complement(g: Graph) -> Graph:
 DEFAULT_EXACT_LIMIT = 64
 
 
+def _color_sort(adj, cand_mask: int) -> tuple[list[int], list[int]]:
+    """Greedy colouring of cand_mask, lowest vertex first: the vertices and their colours."""
+    order: list[int] = []
+    bounds: list[int] = []
+    color = 0
+    rest = cand_mask
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            b = avail & -avail
+            v = b.bit_length() - 1
+            order.append(v)
+            bounds.append(color)
+            avail &= ~adj[v]
+            rest ^= b
+            avail &= rest
+    return order, bounds
+
+
 def max_clique(g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> tuple[int, int]:
     """Exact maximum clique: returns (size, vertex bitset witness).
 
@@ -309,26 +329,8 @@ def max_clique(g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> tuple[int, int]
     adj = g.adj
     best = [0, 0]
 
-    def color_sort(cand_mask: int):
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        rest = cand_mask
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                order.append(v)
-                bounds.append(color)
-                avail &= ~adj[v]
-                rest ^= b
-                avail &= rest
-        return order, bounds
-
     def expand(size: int, mask: int, cand: int):
-        order, bounds = color_sort(cand)
+        order, bounds = _color_sort(adj, cand)
         for i in range(len(order) - 1, -1, -1):
             if size + bounds[i] <= best[0]:
                 return
@@ -379,8 +381,8 @@ def _k_color(g: Graph, k: int, precolor: dict[int, int], budget: _Budget):
     forbidden = [0] * n  # bitset of colors used by neighbors
     used_colors = 0
     for v, c in precolor.items():
-        if not 0 <= c < k:
-            raise ValueError(f"precolor {c} outside 0..{k - 1}")
+        if not (0 <= v < n and 0 <= c < k):
+            raise ValueError(f"precolor {v}: {c} outside vertices 0..{n - 1} or colors 0..{k - 1}")
         color[v] = c
         used_colors = max(used_colors, c + 1)
     for v, c in precolor.items():

@@ -7,9 +7,13 @@ like transformations.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from collections import Counter
+
+try:  # the SHA-1 of opaque group labels, without hashlib, which loads OpenSSL
+    from _sha1 import sha1
+except ImportError:  # an interpreter built without it
+    from hashlib import sha1
 
 from .errors import BudgetExceededError, _Budget
 from .graphs import Graph, _ir_search, _orbit
@@ -426,5 +430,5 @@ def group_name(group: PermGroup) -> str:
     known = _catalog(order).get(fp)
     if known is not None:
         return known
-    digest = hashlib.sha1(repr(fp).encode("ascii")).hexdigest()[:6]
+    digest = sha1(repr(fp).encode("ascii")).hexdigest()[:6]
     return f"G{order}#{digest}"

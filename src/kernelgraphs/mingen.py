@@ -36,6 +36,8 @@ from .errors import (
 from .graphs import (
     Graph,
     _bits,
+    _color_sort,
+    _k_color,
     categorical_power,
     clique_number,
     complement,
@@ -77,12 +79,11 @@ def _check_regenerates(g: Graph, maps) -> None:
 _EXHAUSTIVE_LIMIT = 10
 
 
-def _complete_colourings(g: Graph, most: int, budget: _Budget):
+def _complete_colourings(g: Graph, most: int, budget: _Budget) -> list:
     """Partitions into at most ``most`` independent blocks, each two joined.
 
-    Yields ``(block_of, mask)``: the block index of each vertex, and the
-    merged pairs with pair u < v as bit u*n + v. ``block_of`` is live and
-    changes after the next item. ``budget`` ticks once per vertex placed.
+    Returns ``(block_of, mask)`` pairs in walk order: each vertex's block index, and
+    the merged pairs with pair u < v as bit u*n + v. ``budget`` ticks once per vertex placed.
     """
     budget.what = "colouring walk"
     adj = g.adj
@@ -91,12 +92,13 @@ def _complete_colourings(g: Graph, most: int, budget: _Budget):
     # their neighbourhoods, all as bitmasks
     state: list[tuple[int, int, int]] = []
     block_of = [0] * n
+    found: list[tuple[tuple[int, ...], int]] = []
 
-    def place(v: int, mask: int):
+    def place(v: int, mask: int) -> None:
         budget.tick()
         if v == n:
             if all(r & b for k, (_, _, r) in enumerate(state) for b, _, _ in state[:k]):
-                yield block_of, mask
+                found.append((tuple(block_of), mask))
             return
         bit = 1 << v
         a = adj[v]
@@ -104,19 +106,35 @@ def _complete_colourings(g: Graph, most: int, budget: _Budget):
             if not b & a:
                 state[i] = (b | bit, s | 1 << v * n, r | a)
                 block_of[v] = i
-                yield from place(v + 1, mask | s << v)
+                place(v + 1, mask | s << v)
                 state[i] = (b, s, r)
         if len(state) < most:
             block_of[v] = len(state)
             state.append((bit, 1 << v * n, a))
-            yield from place(v + 1, mask)
+            place(v + 1, mask)
             state.pop()
 
-    yield from place(0, 0)
+    place(0, 0)
+    return found
 
 
-def _min_cover(masks: list[int], full: int, budget: _Budget) -> list[int]:
-    """Indices of a minimum subfamily of masks covering all bits of full."""
+def _needs(g: Graph, k: int, budget: _Budget) -> bool:
+    """True when some vertex's non-neighbours need k colours, so g needs k generators."""
+    adj = g.adj
+    for a in range(g.n):  # a's kernel classes are independent and merge a with each of them
+        others = (1 << g.n) - 1 & ~adj[a] & ~(1 << a)
+        if others.bit_count() < k or _color_sort(adj, others)[1][-1] < k:
+            continue
+        sub = g.induced(_bits(others))
+        what, budget.what = budget.what, "cover bound"
+        if clique_number(sub) >= k or _k_color(sub, k - 1, {}, budget) is None:
+            return True
+        budget.what = what
+    return False
+
+
+def _min_cover(masks: list[int], full: int, budget: _Budget, optimal) -> list[int]:
+    """Indices of a minimum subfamily of masks covering full; stops once ``optimal`` holds."""
     budget.what = "cover search"
     covered = 0
     greedy: list[int] = []
@@ -124,26 +142,31 @@ def _min_cover(masks: list[int], full: int, budget: _Budget) -> list[int]:
         i = max(range(len(masks)), key=lambda i: (masks[i] & ~covered).bit_count())
         greedy.append(i)
         covered |= masks[i]
+    if optimal(len(greedy)):
+        return greedy
     owners = {b: [i for i, mk in enumerate(masks) if mk >> b & 1] for b in _bits(full)}
     maxpop = max(mk.bit_count() for mk in masks)
     best = greedy
     chosen: list[int] = []
 
-    def search(covered: int) -> None:
+    def search(covered: int) -> bool:  # True once ``best`` is proved minimum
         nonlocal best
         if covered == full:
             if len(chosen) < len(best):
                 best = chosen.copy()
-            return
+                return optimal(len(best))
+            return False
         budget.tick()
         need = (full & ~covered).bit_count()
         if len(chosen) + -(-need // maxpop) >= len(best):
-            return
+            return False
         b = min(_bits(full & ~covered), key=lambda b: len(owners[b]))
         for i in sorted(owners[b], key=lambda i: -(masks[i] & ~covered).bit_count()):
             chosen.append(i)
-            search(covered | masks[i])
+            if search(covered | masks[i]):
+                return True
             chosen.pop()
+        return False
 
     search(0)
     return best
@@ -185,7 +208,7 @@ def _minimum(g: Graph, within_endomorphisms: bool, budget: _Budget):
             "use a family constructor for larger graphs"
         )
     most = clique_number(g) if within_endomorphisms else n
-    cands = [(tuple(block_of), mask) for block_of, mask in _complete_colourings(g, most, budget)]
+    cands = _complete_colourings(g, most, budget)
     cands.sort(key=lambda c: -c[1].bit_count())
     if within_endomorphisms:
         union = 0
@@ -193,7 +216,7 @@ def _minimum(g: Graph, within_endomorphisms: bool, budget: _Budget):
             union |= mask
         if union != full:
             return None
-    chosen = _min_cover([mask for _, mask in cands], full, budget)
+    chosen = _min_cover([mask for _, mask in cands], full, budget, lambda k: _needs(g, k, budget))
     if within_endomorphisms:
         # every chosen colouring has quotient K_omega: send its blocks onto one clique
         budget.what = "clique map"

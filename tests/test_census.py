@@ -25,6 +25,7 @@ from kernelgraphs.graphs import (
     to_graph6,
 )
 from kernelgraphs.kernelgraph import is_hull
+from kernelgraphs.mingen import minimal_generating_set
 from kernelgraphs.semigroup import is_synchronizing
 from kernelgraphs.transform import Transformation
 
@@ -130,6 +131,22 @@ def test_census_n6_matches_published(tmp_path):
     assert summary.warnings == ()
     digest = hashlib.sha256((tmp_path / "hulls_n6.jsonl").read_bytes()).hexdigest()
     assert digest == "65586461c60c4824220ce4867433d141f02b231dc441445897b449a4b398d777"
+
+
+def test_census_n7_pinned(tmp_path):
+    summary = run_census(7, tmp_path)
+    assert summary.hulls == 539
+    digest = hashlib.sha256((tmp_path / "hulls_n7.jsonl").read_bytes()).hexdigest()
+    assert digest == "104d2585936defc38514d05896851056b9f7641d45e2b34dddfe8e5fd705d435"
+
+
+def test_census_free_size_matches_the_free_search():
+    # the row skips the free search when the non-neighbourhood bound settles it
+    for n in range(1, 7):
+        for g in generate_all(n):
+            row = _census_entry(to_graph6(g))
+            if row["is_hull"]:
+                assert row["min_generators_free"] == (minimal_generating_set(g).size or 1)
 
 
 @pytest.mark.slow

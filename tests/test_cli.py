@@ -456,12 +456,13 @@ def test_read_budget_flags_are_unchanged(tmp_path, capsys):
     assert "closure" in err
 
 
-def _loaded_by_cli_import() -> set[str]:
-    """The modules a fresh interpreter holds after importing kernelgraphs.cli."""
+def _loaded_by_cli_import(then: str = "") -> set[str]:
+    """The modules a fresh interpreter holds after importing kernelgraphs.cli
+    and running ``then``, with any words ``then`` printed."""
     src = str(Path(kernelgraphs.__file__).parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    probe = "import sys, kernelgraphs.cli; print(*sys.modules)"
+    probe = f"import sys, kernelgraphs.cli\n{then}\nprint(*sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, timeout=60, capture_output=True, text=True, check=True
     )
@@ -475,6 +476,15 @@ def test_cli_import_loads_no_numpy():
 def test_cli_import_loads_no_multiprocessing():
     # only a census with more than one worker starts a process pool
     assert "multiprocessing" not in _loaded_by_cli_import()
+
+
+def test_opaque_group_label_loads_no_openssl():
+    # Aut(Q4) is in no catalog; its label's SHA-1 comes from _sha1, not hashlib
+    pytest.importorskip("_sha1")
+    then = "import kernelgraphs as K; print(K.group_name(K.automorphism_group(K.hamming(4, 2))))"
+    loaded = _loaded_by_cli_import(then)
+    assert "G384#1b2cd5" in loaded
+    assert "hashlib" not in loaded and "_hashlib" not in loaded
 
 
 def test_option_position_is_flexible(capsys):

@@ -285,6 +285,16 @@ def test_k_color_precolor_and_budget():
         k_color(cycle(5), 3, node_budget=0)
 
 
+def test_k_color_rejects_precolor_vertices_outside_the_graph():
+    # -1 would otherwise pin the last vertex, and 7 index past the end; a
+    # color out of range is refused the same way
+    with pytest.raises(ValueError, match="precolor 0: 3 outside"):
+        k_color(cycle(5), 3, precolor={0: 3})
+    for vertex in (-1, 5, 7):
+        with pytest.raises(ValueError, match="outside vertices"):
+            k_color(cycle(5), 3, precolor={vertex: 0})
+
+
 def test_chromatic_number_budget_covers_every_k():
     # one budget for the call, summed over each k tried from the clique number up
     for g, need in [(cycle(5), 6), (cycle(7), 10), (paley(13), 70)]:

@@ -10,10 +10,12 @@ from kernelgraphs.errors import (
     KernelGraphsError,
     NotAHullError,
     UnsupportedParameterError,
+    _Budget,
 )
 from kernelgraphs.graphs import (
     Graph,
     categorical_power,
+    clique_number,
     complement,
     complete,
     complete_multipartite,
@@ -28,7 +30,10 @@ from kernelgraphs.graphs import (
 from kernelgraphs.kernelgraph import hull, kernel_graph
 from kernelgraphs.mingen import (
     GeneratingSet,
+    _complete_colourings,
     _matching_refuted,
+    _minimum,
+    _needs,
     hamming_complement_generators,
     hamming_distance_generators,
     lattice_generators,
@@ -162,6 +167,49 @@ def test_brute_refutation_n6_sample():
         assert_no_smaller_cover(g, 3)
     four = next(g for g in graphs if minimal_generating_set(g).size == 4)
     assert_no_smaller_cover(four, 4)
+
+
+def restricted_growth_strings(n: int):
+    """Block labels of every partition of range(n), in lexicographic order, by brute force."""
+    for s in itertools.product(range(n), repeat=n):
+        if all(s[v] <= max(s[:v], default=-1) + 1 for v in range(n)):
+            yield s
+
+
+def test_colouring_walk_matches_restricted_growth_strings():
+    # the walk's leaves: partitions into at most `most` independent blocks,
+    # every two blocks joined by an edge, in the same order as their strings
+    for n in range(1, 7):
+        strings = list(restricted_growth_strings(n))
+        pairs = list(itertools.combinations(range(n), 2))
+        for g in generate_all(n):
+            for most in sorted({clique_number(g), n}):
+                want = []
+                for s in strings:
+                    blocks = [0] * (max(s) + 1)
+                    joined = [0] * (max(s) + 1)  # the OR of each block's neighbourhoods
+                    for v in range(n):
+                        blocks[s[v]] |= 1 << v
+                        joined[s[v]] |= g.adj[v]
+                    if len(blocks) > most or any(j & b for j, b in zip(joined, blocks)):
+                        continue
+                    block_pairs = itertools.combinations(range(len(blocks)), 2)
+                    if all(joined[i] & blocks[j] for i, j in block_pairs):
+                        want.append((s, sum(1 << u * n + v for u, v in pairs if s[u] == s[v])))
+                assert _complete_colourings(g, most, _Budget(None, "test")) == want, (g.adj, most)
+
+
+def test_needs_never_exceeds_the_free_minimum():
+    attained = total = 0
+    for n in range(1, 7):
+        for g in generate_all(n):
+            size = _minimum(g, False, _Budget(None, "test")).size
+            needed = [k for k in range(1, n + 1) if _needs(g, k, _Budget(None, "test"))]
+            bound = max(needed, default=0)
+            assert bound <= size, g.adj
+            attained += bound == size
+            total += 1
+    assert (attained, total) == (186, 208)  # the bound is mostly the minimum itself
 
 
 def test_too_large_raises():
@@ -352,10 +400,17 @@ def test_node_budget_caps_cover_search():
     hull7 = from_graph6("F?CWw")
     with pytest.raises(BudgetExceededError, match="colouring walk"):
         minimal_generating_set(hull7, within_endomorphisms=True, node_budget=100)
+    # 188 walk nodes; the cover bound proves the greedy cover optimal without
+    # a search node, and the map onto a clique takes the last 4
     with pytest.raises(BudgetExceededError, match="clique map"):
-        minimal_generating_set(hull7, within_endomorphisms=True, node_budget=1424)
-    endo = minimal_generating_set(hull7, within_endomorphisms=True, node_budget=1425)
+        minimal_generating_set(hull7, within_endomorphisms=True, node_budget=191)
+    endo = minimal_generating_set(hull7, within_endomorphisms=True, node_budget=192)
     assert endo.size == minimal_generating_set(hull7, within_endomorphisms=True).size
+    # 85 walk nodes, then 5 nodes of the exact colouring behind the cover bound
+    g = from_graph6("EIGW")
+    with pytest.raises(BudgetExceededError, match="cover bound"):
+        minimal_generating_set(g, node_budget=89)
+    assert minimal_generating_set(g, node_budget=90).size == 3
 
 
 def test_matching_refutation_engine():
