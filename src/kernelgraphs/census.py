@@ -3,10 +3,11 @@
 Enumerates all graphs up to isomorphism, keeps the hulls, and tabulates
 their automorphism groups and minimal generating set sizes.  The walk over
 the omega-colourings in the endomorphic generating-set search decides
-hull-ness, and a hull row runs one automorphism search.  Results are
-written as a resumable JSONL file plus summary JSON/CSV tables, and the
-distributions are compared against published desk-check values; any drift
-is reported as warnings on the summary, never as a failure.
+hull-ness; a hull row names the group that the generators found by
+generation span, and runs no automorphism search.  Results are written as
+a resumable JSONL file plus summary JSON/CSV tables, and the distributions
+are compared against published desk-check values; any drift is reported
+as warnings on the summary, never as a failure.
 """
 
 import csv
@@ -21,8 +22,8 @@ from itertools import islice, repeat
 from pathlib import Path
 
 from .errors import UnsupportedParameterError, _Budget
-from .graphs import Graph, canonical_form, from_graph6, generate_all, to_graph6
-from .groups import PermGroup, automorphism_group, group_name
+from .graphs import Graph, _all_graphs_level, canonical_form, from_graph6, generate_all, to_graph6
+from .groups import PermGroup, group_name
 from .kernelgraph import hull
 from .mingen import _minimum, _needs, minimal_generating_set
 from .semigroup import is_synchronizing
@@ -121,13 +122,13 @@ def _group_row(degree: int, generators: frozenset) -> tuple[str, int]:
     return group_name(group), group.order()
 
 
-def _census_entry(g6: str) -> dict:
-    """Worker unit: the omega-colourings decide hull-ness; hulls get full detail."""
+def _census_entry(g6: str, generators) -> dict:
+    """Worker unit: omega-colourings decide hull-ness; ``generators`` span Aut(g6)."""
     g = from_graph6(g6)
     endo = _minimum(g, True, _Budget(None, "colouring walk"))
     if endo is None:
         return {"graph6": g6, "is_hull": False}
-    name, order = _group_row(g.n, frozenset(automorphism_group(g).generators))
+    name, order = _group_row(g.n, frozenset(generators))
     free = endo.size  # free <= endo, and the free search runs only when _needs falls short
     if free and not _needs(g, free, _Budget(None, "cover bound")):
         free = minimal_generating_set(g).size
@@ -140,6 +141,10 @@ def _census_entry(g6: str) -> dict:
         "min_generators": endo.size or 1,  # see SIZE_CONVENTION
         "min_generators_free": free or 1,
     }
+
+
+def _census_pair(pair: tuple[str, tuple]) -> dict:
+    return _census_entry(*pair)  # Pool.imap passes one argument
 
 
 def _jsonl_path(out_dir: Path, n: int) -> Path:
@@ -180,10 +185,9 @@ def _read_rows(path: Path, n: int) -> tuple[dict[str, dict], int]:
     return rows, end
 
 
-def _compute_rows(batch: list[str], workers: int):
+def _compute_rows(batch: list[tuple[str, tuple]], workers: int):
     if workers <= 1:
-        for g6 in batch:
-            yield _census_entry(g6)
+        yield from map(_census_pair, batch)
         return
     # leaving the pool terminates its workers at once, so an interrupt such as
     # the CLI's --time-limit neither waits for unfinished chunks nor loses
@@ -191,7 +195,7 @@ def _compute_rows(batch: list[str], workers: int):
     import multiprocessing  # here, so that calls which start no pool never load it
 
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        yield from pool.imap(_census_entry, batch, chunksize=_CHUNK)
+        yield from pool.imap(_census_pair, batch, chunksize=_CHUNK)
 
 
 def _table_warnings(n: int, kind: str, computed: dict, reference: dict) -> list[str]:
@@ -239,8 +243,8 @@ def run_census(n: int, out_dir, *, workers: int = 1, resume: bool = True) -> Cen
         header = {"schema_version": SCHEMA_VERSION, "n": n}
         path.write_text(json.dumps(header, sort_keys=True) + "\n")
 
-    order = [to_graph6(g) for g in generate_all(n)]
-    todo = [g6 for g6 in order if g6 not in done]
+    pairs = [(to_graph6(g), generators) for g, generators in zip(*_all_graphs_level(n))]
+    todo = [pair for pair in pairs if pair[0] not in done]
     if todo:
         # closing leaves the pool as soon as an interrupt ends the loop
         with path.open("a") as fh, closing(_compute_rows(todo, workers)) as computed:
@@ -249,7 +253,7 @@ def run_census(n: int, out_dir, *, workers: int = 1, resume: bool = True) -> Cen
                 fh.flush()
                 done[row["graph6"]] = row
 
-    rows = [done[g6] for g6 in order]
+    rows = [done[g6] for g6, _generators in pairs]
     return _finalize(n, out, rows)
 
 

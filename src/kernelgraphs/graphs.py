@@ -714,25 +714,27 @@ _GENERATE_LIMIT = 9
 
 
 @lru_cache(maxsize=None)
-def _all_graphs_level(n: int) -> tuple[Graph, ...]:
-    """Canonicalize the one-vertex extensions of each graph on n - 1 vertices.
+def _all_graphs_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, ...], ...]]:
+    """The graphs on n vertices up to isomorphism, and generators of their groups.
 
-    Every graph G arises from G - w for a vertex w of maximum degree, so an
-    extension mask is kept only when the new vertex has maximum degree in
-    the child.  Masks in one orbit of Aut(parent) give isomorphic children,
-    so one mask per orbit is kept (McKay, *Isomorph-free exhaustive
-    generation*, 1998).  The certificate dictionary removes what is left.
+    Canonical augmentation (McKay, *Isomorph-free exhaustive generation*, 1998):
+    a parent gains a vertex of maximum degree for one mask per Aut(parent) orbit,
+    kept when one search on the child puts it in the orbit of the vertex labelled
+    last (of maximum degree, as the root cells ascend in degree).  The graphs are
+    canonical, in graph6 order; a parallel tuple holds their generators in
+    canonical labels, one bytes each, equal lists shared, so n = 9 fits.
     """
     if n == 1:
-        return (Graph(1),)
-    reps: dict[bytes, Graph] = {}
-    for parent in _all_graphs_level(n - 1):
-        degrees = [a.bit_count() for a in parent.adj]
-        generators = _ir_search(parent, _Budget(None, "automorphism search"))[1]
+        return (Graph(1),), ((),)
+    children = []
+    shared: dict[tuple[bytes, ...], tuple[bytes, ...]] = {}
+    for parent, generators in zip(*_all_graphs_level(n - 1)):
+        top = max(a.bit_count() for a in parent.adj)
+        tops = sum(1 << v for v, a in enumerate(parent.adj) if a.bit_count() == top)
         seen: set[int] = set()
         for mask in range(1 << (n - 1)):
-            size = mask.bit_count()
-            if mask in seen or any(size < d + (mask >> v & 1) for v, d in enumerate(degrees)):
+            size = mask.bit_count()  # the new vertex's degree, which must be the maximum
+            if mask in seen or size < top or size == top and mask & tops:
                 continue
             frontier = [mask]
             while frontier:
@@ -740,10 +742,14 @@ def _all_graphs_level(n: int) -> tuple[Graph, ...]:
                 if m not in seen:
                     seen.add(m)
                     frontier.extend(sum(1 << gen[v] for v in _bits(m)) for gen in generators)
-            cert = canonical_form(parent.with_vertex(mask))
-            if cert not in reps:
-                reps[cert] = from_graph6(cert.decode("ascii"))
-    return tuple(reps[key] for key in sorted(reps))
+            child = parent.with_vertex(mask)
+            lab, found, rows = _ir_search(child, _Budget(None, "canonical labelling search"))
+            if _orbit([lab.index(n - 1)], found) >> (n - 1) & 1:
+                vertex_of = sorted(range(n), key=lab.__getitem__)
+                conjugated = tuple(bytes(lab[gen[v]] for v in vertex_of) for gen in found)
+                children.append((Graph.from_adj(rows), shared.setdefault(conjugated, conjugated)))
+    children.sort(key=lambda child: to_graph6(child[0]))
+    return tuple(zip(*children))
 
 
 def generate_all(n: int):
@@ -752,4 +758,4 @@ def generate_all(n: int):
         raise UnsupportedParameterError(
             f"exhaustive generation supports 1..{_GENERATE_LIMIT} vertices, got {n}"
         )
-    yield from _all_graphs_level(n)
+    yield from _all_graphs_level(n)[0]

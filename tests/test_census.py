@@ -16,14 +16,17 @@ from kernelgraphs.census import (
 )
 from kernelgraphs.errors import UnsupportedParameterError
 from kernelgraphs.graphs import (
+    _all_graphs_level,
     canonical_form,
     complete,
     cycle,
+    from_graph6,
     generate_all,
     null_graph,
     path,
     to_graph6,
 )
+from kernelgraphs.groups import automorphism_group
 from kernelgraphs.kernelgraph import is_hull
 from kernelgraphs.mingen import minimal_generating_set
 from kernelgraphs.semigroup import is_synchronizing
@@ -38,8 +41,19 @@ def partition_count(n: int) -> int:
     return ways[n]
 
 
+def entry(g6: str) -> dict:
+    """The census row of g6, given generators that an automorphism search finds."""
+    return _census_entry(g6, automorphism_group(from_graph6(g6)).generators)
+
+
+def level_rows(n: int):
+    """Each graph on n vertices with its census row, as the census computes it."""
+    for g, generators in zip(*_all_graphs_level(n)):
+        yield g, _census_entry(to_graph6(g), generators)
+
+
 def test_entry_classifies_hull_and_non_hull():
-    row = _census_entry(to_graph6(complete(3)))
+    row = entry(to_graph6(complete(3)))
     assert row["is_hull"]
     assert row["aut_name"] == "S3"
     assert row["aut_order"] == 6
@@ -47,14 +61,14 @@ def test_entry_classifies_hull_and_non_hull():
     assert row["min_generators"] == 1
     assert row["min_generators_free"] == 1
 
-    row = _census_entry(to_graph6(path(4)))
+    row = entry(to_graph6(path(4)))
     assert row == {"graph6": to_graph6(path(4)), "is_hull": False}
 
 
 def test_entry_where_endomorphism_restriction_costs_a_member():
     # the one 6-vertex hull whose endomorphism generating sets need an
     # extra member beyond the unrestricted minimum
-    row = _census_entry("E`ow")
+    row = entry("E`ow")
     assert row["is_hull"]
     assert row["min_generators"] == 4
     assert row["min_generators_free"] == 3
@@ -62,11 +76,12 @@ def test_entry_where_endomorphism_restriction_costs_a_member():
 
 def test_entry_verdict_matches_is_hull():
     for n in range(1, 7):
-        for g in generate_all(n):
-            assert _census_entry(to_graph6(g))["is_hull"] == is_hull(g), to_graph6(g)
+        for g, row in level_rows(n):
+            assert row["is_hull"] == is_hull(g), to_graph6(g)
 
 
-def test_entry_runs_one_automorphism_search_per_hull(monkeypatch):
+def count_searches(monkeypatch) -> list:
+    """Record the graph of every individualization-refinement search from now on."""
     calls = []
     real = graphs._ir_search
 
@@ -76,13 +91,26 @@ def test_entry_runs_one_automorphism_search_per_hull(monkeypatch):
 
     for module in (graphs, groups, kernelgraph, semigroup):
         monkeypatch.setattr(module, "_ir_search", counted)
-    hulls = 0
-    for g in generate_all(5):
-        before = len(calls)
-        row = _census_entry(to_graph6(g))
-        assert len(calls) - before == row["is_hull"], to_graph6(g)
-        hulls += row["is_hull"]
+    return calls
+
+
+def test_entry_runs_no_automorphism_search(monkeypatch):
+    # the generators come from generation, so a row, hull or not, runs no search
+    _all_graphs_level(5)  # generated before counting: its searches are not the rows'
+    calls = count_searches(monkeypatch)
+    hulls = sum(row["is_hull"] for _g, row in level_rows(5))
+    assert calls == []
     assert hulls == 27
+
+
+def test_census_n7_searches_each_kept_extension_once(tmp_path, monkeypatch):
+    # one search per kept extension mask accepts or rejects the child and
+    # hands its generators on; the generator that canonicalized every
+    # extension and searched again per parent and per hull row made 2,386
+    _all_graphs_level.cache_clear()
+    calls = count_searches(monkeypatch)
+    assert run_census(7, tmp_path).hulls == 539
+    assert len(calls) <= 1639
 
 
 def test_census_n3(tmp_path):
@@ -143,8 +171,7 @@ def test_census_n7_pinned(tmp_path):
 def test_census_free_size_matches_the_free_search():
     # the row skips the free search when the non-neighbourhood bound settles it
     for n in range(1, 7):
-        for g in generate_all(n):
-            row = _census_entry(to_graph6(g))
+        for g, row in level_rows(n):
             if row["is_hull"]:
                 assert row["min_generators_free"] == (minimal_generating_set(g).size or 1)
 

@@ -8,6 +8,7 @@ import pytest
 from kernelgraphs.errors import BudgetExceededError, ParseError, UnsupportedParameterError, _Budget
 from kernelgraphs.graphs import (
     Graph,
+    _all_graphs_level,
     _ir_search,
     are_isomorphic,
     automorphisms,
@@ -37,7 +38,7 @@ from kernelgraphs.graphs import (
     triangular,
     union_complete,
 )
-from kernelgraphs.groups import PermGroup, automorphism_group
+from kernelgraphs.groups import PermGroup, automorphism_group, group_name
 
 
 def shrikhande() -> Graph:
@@ -526,8 +527,25 @@ def test_generate_all_eight():
 
 @pytest.mark.slow
 def test_generate_all_nine():
+    graphs = list(generate_all(9))
     # OEIS A000088: graphs on 9 vertices up to isomorphism
-    assert sum(1 for _ in generate_all(9)) == 274668
+    assert len(graphs) == 274668
+    # digest of the output of the generator that canonicalized every extension
+    assert graph6_digest(graphs) == (
+        "5199f135bfc8413b0058898b738fc4e89820fc1912a7be4df2e005bab693371c"
+    )
+
+
+def test_generated_generators_span_each_automorphism_group():
+    # generation hands each graph the generators of the search that accepted
+    # it, conjugated to its canonical labels; the census names groups by them
+    for n in range(1, 8):
+        for g, generators in zip(*_all_graphs_level(n)):
+            assert all(g.relabel(gen) == g for gen in generators), to_graph6(g)
+            handed = PermGroup(n, generators)
+            searched = automorphism_group(g)
+            assert handed.order() == searched.order(), to_graph6(g)
+            assert group_name(handed) == group_name(searched), to_graph6(g)
 
 
 def test_generate_all_matches_every_labelled_graph():
