@@ -39,9 +39,9 @@ for label, g, expect in [
 
 # Vertex-transitive graphs: the count searches Aut(G) first and roots each
 # component only at the least vertex r of each orbit, and its second vertex
-# only at the least vertex x of each orbit of r's stabilizer, weighting every
-# map by the size of r's orbit times that of x's, so one subtree stands for
-# all of its images. The Q4 figure was computed by the earlier search that
+# only at the least vertex x of each orbit of the automorphisms found that fix
+# r, weighting every map by the size of r's orbit times that of x's, so one
+# subtree stands for all of its images. The Q4 figure was computed by the earlier search that
 # tried every root, in 12-14 s on 2 shared cores under Python 3.11; this one
 # takes about 0.4 s there.
 print()

@@ -371,6 +371,11 @@ def k_color(
     return _k_color(g, k, precolor or {}, _Budget(node_budget, "coloring search"))
 
 
+def _too_deep(what: str, n: int) -> UnsupportedParameterError:
+    """The error for a search that recursed past Python's limit."""
+    return UnsupportedParameterError(f"{what} search on {n} vertices passed the recursion limit")
+
+
 def _k_color(g: Graph, k: int, precolor: dict[int, int], budget: _Budget):
     """``k_color``, ticking the caller's ``budget`` once per search node."""
     n = g.n
@@ -432,10 +437,10 @@ def _k_color(g: Graph, k: int, precolor: dict[int, int], budget: _Budget):
             undo(v, c, touched)
         return False
 
-    remaining = sum(1 for c in color if c < 0)
-    if search(remaining, used_colors):
-        return color
-    return None
+    try:
+        return color if search(n - len(precolor), used_colors) else None
+    except RecursionError:
+        raise _too_deep("coloring", n) from None
 
 
 def chromatic_number(
@@ -547,6 +552,17 @@ def _orbit(points, generators) -> int:
                 orbit |= 1 << q
                 frontier.append(q)
     return orbit
+
+
+def _orbit_roots(n: int, generators, within: int | None = None) -> dict[int, int]:
+    """The least point of each orbit in ``within`` (all points by default), mapped to the orbit."""
+    roots: dict[int, int] = {}
+    left = (1 << n) - 1 if within is None else within
+    while left:
+        v = (left & -left).bit_length() - 1
+        roots[v] = orbit = _orbit([v], generators)
+        left &= ~orbit
+    return roots
 
 
 def _refine(adj, order: list[int], color: list[int], ends: list[int], keys, live: int) -> int:
@@ -672,7 +688,10 @@ def _ir_search(g: Graph, budget: _Budget):
         return depth
 
     degrees = {v: -a.bit_count() for v, a in enumerate(g.adj)}
-    visit(list(range(n)), [0] * n, [n] * n, degrees, (1 << n) - 1, [])
+    try:
+        visit(list(range(n)), [0] * n, [n] * n, degrees, (1 << n) - 1, [])
+    except RecursionError:
+        raise _too_deep("individualization-refinement", n) from None
     return tuple(best[1]), generators, best[0]
 
 
@@ -701,11 +720,10 @@ def are_isomorphic(g: Graph, h: Graph, *, node_budget: int | None = None) -> boo
 
 
 def automorphisms(g: Graph, *, node_budget: int | None = None) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations, as sorted old->new tuples."""
+    """Every automorphism as an old->new tuple, sorted; past ``DEFAULT_ELEMENT_CAP`` it raises."""
     from .groups import automorphism_group
 
-    group = automorphism_group(g, node_budget=node_budget)
-    return group.elements(limit=group.order())
+    return automorphism_group(g, node_budget=node_budget).elements()
 
 
 # -------------------------------------------------------- exhaustive generation

@@ -16,7 +16,7 @@ except ImportError:  # an interpreter built without it
     from hashlib import sha1
 
 from .errors import BudgetExceededError, _Budget
-from .graphs import Graph, _ir_search, _orbit
+from .graphs import Graph, _ir_search, _orbit, _orbit_roots
 from .transform import _mul
 
 __all__ = [
@@ -210,12 +210,7 @@ class PermGroup:
         """The group restricted to each orbit of two or more points, relabelled."""
         gens = self.generators
         result = []
-        covered = 0
-        for p in range(self.degree):
-            if covered >> p & 1:
-                continue
-            orbit = _orbit([p], gens)
-            covered |= orbit
+        for orbit in _orbit_roots(self.degree, gens).values():
             if orbit & (orbit - 1) == 0:
                 continue  # a fixed point
             if orbit == (1 << self.degree) - 1:

@@ -10,12 +10,11 @@ from __future__ import annotations
 import itertools
 
 from .errors import _Budget
-from .graphs import Graph, _ir_search, clique_number, complete
+from .graphs import Graph, _ir_search, _orbit_roots, clique_number, complete
 from .groups import PermGroup
 from .semigroup import (
     _check_generators,
     _merging_endomorphism,
-    _orbit_roots,
     _pair_collapse_table,
     min_rank_of_generators,
 )

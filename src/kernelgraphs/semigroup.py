@@ -10,7 +10,7 @@ import functools
 from array import array
 
 from .errors import ClosureCapExceededError, _Budget
-from .graphs import Graph, _bits, _ir_search, _orbit
+from .graphs import Graph, _bits, _ir_search, _orbit_roots
 from .transform import Transformation, _mul
 
 __all__ = [
@@ -470,41 +470,6 @@ def _maps(g: Graph, h: Graph, order, budget: _Budget, roots: int | None = None, 
             stack[i] = domain[i]
 
 
-def _orbit_roots(n: int, generators, within: int | None = None) -> dict[int, int]:
-    """The least point of each orbit in ``within`` (all points by default), mapped to the orbit."""
-    roots: dict[int, int] = {}
-    left = (1 << n) - 1 if within is None else within
-    while left:
-        v = (left & -left).bit_length() - 1
-        roots[v] = orbit = _orbit([v], generators)
-        left &= ~orbit
-    return roots
-
-
-def _stabilizer_orbits(n: int, r: int, generators, within: int) -> dict[int, int]:
-    """The orbits of r's stabilizer that make up ``within``, as ``_orbit_roots`` gives them.
-
-    With u_p a product of generators taking r to p, the maps u_p s u_s(p)^-1
-    over the generators s and the points p of r's orbit span the stabilizer
-    (Schreier's lemma). They are collected until ``within`` is one orbit.
-    """
-    stabilizer: list[tuple[int, ...]] = []
-    transversal = {r: tuple(range(n))}
-    orbit = within & -within
-    for p in (queue := [r]):
-        for s in generators:
-            t = _mul(transversal[p], s)
-            if (u := transversal.get(s[p])) is None:
-                transversal[s[p]] = t
-                queue.append(s[p])
-            elif t != u:
-                stabilizer.append(t := _mul(t, tuple(sorted(range(n), key=u.__getitem__))))
-                if any(not orbit >> t[v] & 1 for v in _bits(orbit)):
-                    if (orbit := _orbit(_bits(orbit), stabilizer)) == within:
-                        return {(orbit & -orbit).bit_length() - 1: orbit}
-    return _orbit_roots(n, stabilizer, within)
-
-
 def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -> int:
     """Number of edge-preserving maps from g into h.
 
@@ -512,8 +477,9 @@ def count_homomorphisms(g: Graph, h: Graph, *, node_budget: int | None = None) -
     stay cheap. Every vertex of h is tried as the first image of each
     component: for a general target, searching Aut(h) first to skip the
     repeated root subtrees costs more than it saves (K3 -> K60 went about
-    ten times slower in a trial). ``count_endomorphisms`` skips them, and
-    prunes the second image by the root's stabilizer and isomorphic components.
+    ten times slower in a trial). ``count_endomorphisms`` skips them, prunes
+    the second image by the automorphisms found that fix the root, and counts
+    one component of each isomorphism class.
     """
     budget = _Budget(node_budget, "homomorphism count")
     total = 1
@@ -566,14 +532,14 @@ def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
     An automorphism s maps the endomorphisms that send a component's first
     vertex to x one-to-one onto those that send it to s(x). So after one
     automorphism search, each component's first vertex in ``_order`` tries
-    only the least vertex r of each orbit, and its second, which ``_order``
-    makes a neighbor of the first, only the least vertex x of each orbit of
-    r's stabilizer; each map found weighs the size of r's orbit times that of
-    x's. The rest of the component is searched by ``_maps`` with forward
-    checking. Components whose vertices share an orbit are isomorphic: one per
-    class is counted, and the counts multiply as in ``count_homomorphisms``.
-    ``node_budget`` caps the automorphism search and the count together, and
-    the error names the stage that ran out.
+    only the least vertex r of each orbit, and its second, a neighbor of the
+    first, only the least vertex x of each orbit on N(r) of the group H that
+    the found automorphisms fixing r span; each map weighs the size of r's
+    orbit times that of x's H-orbit, exact for any subgroup H of r's
+    stabilizer. ``_maps`` searches the rest with forward checking.
+    Components whose vertices share an orbit are isomorphic: one per class
+    is counted, and the counts multiply as in ``count_homomorphisms``.
+    ``node_budget`` caps both searches together; the error names the stage.
     """
     if g.n == 0:
         return 1
@@ -584,14 +550,11 @@ def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
     label = {v: r for r, orbit in orbits.items() for v in _bits(orbit)}
     weight, seconds = {}, {}  # root r -> weight of each second image x, and the bitset of those x
     for r, orbit in orbits.items():
-        near = g.adj[r]
+        fixed = _orbit_roots(g.n, [s for s in generators if s[r] == r], g.adj[r])
         weight[r] = w = [orbit.bit_count()] * g.n
-        if len(set(map(label.__getitem__, _bits(near)))) < near.bit_count():  # else each is fixed
-            stabilizer = _stabilizer_orbits(g.n, r, generators, near)
-            near = sum(1 << x for x in stabilizer)
-            for x, o in stabilizer.items():
-                w[x] *= o.bit_count()
-        seconds[r] = near
+        for x, o in fixed.items():
+            w[x] *= o.bit_count()
+        seconds[r] = sum(1 << x for x in fixed)
     classes: dict[int, list[tuple[int, ...]]] = {}  # least orbit label -> isomorphic components
     for comp in g.components():
         classes.setdefault(min(map(label.__getitem__, comp)), []).append(comp)

@@ -20,6 +20,7 @@ from kernelgraphs.graphs import (
     cycle,
     from_graph6,
     hamming,
+    null_graph,
     path,
     square_lattice,
     to_graph6,
@@ -406,6 +407,13 @@ def test_aut_honours_node_budget(capsys):
     code, out, _ = run(capsys, "--node-budget", "1000", "aut", q4)
     assert code == 0
     assert "order=384" in out
+
+
+def test_aut_past_the_recursion_limit_exits_1(capsys):
+    code, out, err = run(capsys, "aut", to_graph6(null_graph(1000)))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "recursion limit" in err
 
 
 def test_unread_budget_flags_are_rejected(tmp_path, capsys):

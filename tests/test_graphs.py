@@ -38,7 +38,8 @@ from kernelgraphs.graphs import (
     triangular,
     union_complete,
 )
-from kernelgraphs.groups import PermGroup, automorphism_group, group_name
+from kernelgraphs.groups import DEFAULT_ELEMENT_CAP, PermGroup, automorphism_group, group_name
+from kernelgraphs.semigroup import count_endomorphisms
 
 
 def shrikhande() -> Graph:
@@ -394,6 +395,23 @@ def test_automorphism_counts():
     for a in automorphisms(cycle(6)):
         g = cycle(6)
         assert g.relabel(a) == g
+
+
+def test_automorphisms_honours_the_element_cap():
+    # |Aut(K9)| = 362,880: the order is checked before any element is listed
+    with pytest.raises(BudgetExceededError, match="group elements") as info:
+        automorphisms(complete(9))
+    assert info.value.limit == DEFAULT_ELEMENT_CAP
+
+
+def test_searches_deeper_than_the_recursion_limit_raise_a_package_error():
+    g = null_graph(1000)
+    calls = (canonical_form, automorphism_group, count_endomorphisms, lambda g: are_isomorphic(g, g))
+    for call in calls:
+        with pytest.raises(UnsupportedParameterError, match="on 1000 vertices .* recursion limit"):
+            call(g)
+    with pytest.raises(UnsupportedParameterError, match="on 1500 vertices .* recursion limit"):
+        k_color(null_graph(1500), 1)
 
 
 def test_search_generators_span_the_brute_force_group():

@@ -10,11 +10,13 @@ from kernelgraphs.graphs import (
     Graph,
     _bits,
     _ir_search,
+    _orbit_roots,
     cartesian_product,
     complete,
     complete_multipartite,
     cycle,
     disjoint_union,
+    from_graph6,
     generate_all,
     hamming,
     null_graph,
@@ -25,10 +27,8 @@ from kernelgraphs.groups import automorphism_group
 from kernelgraphs.semigroup import (
     _collapse,
     _merging_endomorphism,
-    _orbit_roots,
     _order,
     _pair_collapse_table,
-    _stabilizer_orbits,
     close,
     collapsible,
     collapsible_pairs,
@@ -466,6 +466,7 @@ def test_orbit_rooted_count_matches_full_root_count():
     ):
         assert count_endomorphisms(g) == count_homomorphisms(g, g)
     assert count_endomorphisms(null_graph(0)) == 1
+    assert count_endomorphisms(null_graph(0), node_budget=0) == 1
 
 
 def test_endomorphism_counts_of_the_families():
@@ -478,6 +479,16 @@ def test_endomorphism_count_matches_homomorphism_count_up_to_7():
     # count_homomorphisms(g, g) tries every root and every second image
     graphs = [g for n in range(1, 8) for g in generate_all(n)]
     assert len(graphs) == 1252
+    for g in graphs:
+        assert count_endomorphisms(g) == count_homomorphisms(g, g), g
+
+
+@pytest.mark.slow
+def test_endomorphism_count_matches_homomorphism_count_at_8():
+    # the only check that reaches, at scale, graphs whose second level prunes
+    # by fewer automorphisms than the root's whole stabilizer
+    graphs = list(generate_all(8))
+    assert len(graphs) == 12346
     for g in graphs:
         assert count_endomorphisms(g) == count_homomorphisms(g, g), g
 
@@ -539,20 +550,35 @@ def test_endomorphism_counts_pinned(g, count):
     assert count_endomorphisms(g) == count
 
 
-def test_stabilizer_orbits_match_brute_force():
-    for n in range(1, 7):
-        for g in generate_all(n):
-            generators = _ir_search(g, _Budget(None, "automorphism search"))[1]
-            elements = automorphism_group(g).elements()
-            for r in _orbit_roots(n, generators):
-                fixing = [a for a in elements if a[r] == r]
-                orbit_of = {v: sum(1 << w for w in {a[v] for a in fixing}) for v in range(n)}
-                for within in ((1 << n) - 1, g.adj[r]):
-                    expected = {}
-                    for v in _bits(within):
-                        expected.setdefault(orbit_of[v], v)
-                    expected = {v: orbit for orbit, v in expected.items()}
-                    assert _stabilizer_orbits(n, r, generators, within) == expected, (g, r)
+# Graphs where, for some orbit root r, the automorphisms the search found that
+# fix r split an orbit of r's stabilizer on N(r), so the count's second level
+# tries more images than the stabilizer would leave. The last is C7 x P3
+# relabelled by random.Random(0).shuffle.
+FIXERS_SPLIT = [
+    ("GQosz[", 308),
+    ("GSXPGs", 4),
+    ("GreZZ[", 2304),
+    ("Grosz[", 616),
+    ("GrqZX{", 500),
+    ("TP?_?kABA?CA?GO?o@aO??GS?AC_?K?QGM?G", 476),
+]
+
+
+@pytest.mark.parametrize("g6, count", FIXERS_SPLIT, ids=[g6 for g6, _ in FIXERS_SPLIT])
+def test_endomorphism_count_exact_where_fixers_split_a_stabilizer_orbit(g6, count):
+    g = from_graph6(g6)
+    assert count_endomorphisms(g) == count_homomorphisms(g, g) == count
+    generators = _ir_search(g, _Budget(None, "automorphism search"))[1]
+    elements = automorphism_group(g).elements()
+
+    def orbits_on_neighbors(r, group):
+        return len(_orbit_roots(g.n, [s for s in group if s[r] == r], g.adj[r]))
+
+    # the case stays covered only while the search's generators still split one
+    assert any(
+        orbits_on_neighbors(r, generators) > orbits_on_neighbors(r, elements)
+        for r in _orbit_roots(g.n, generators)
+    )
 
 
 def test_merging_endomorphism_unchanged_by_orbit_roots():
@@ -607,6 +633,9 @@ def test_homomorphism_budget():
 C8 = cycle(8)
 C5P3 = cartesian_product(cycle(5), path(3))
 C8_MERGED = quotient_by_pair(C8, 0, 2)[0]
+C5C5 = cartesian_product(cycle(5), cycle(5))
+H33 = hamming(3, 3)
+C7P3_RELABELLED = from_graph6(FIXERS_SPLIT[-1][0])
 
 
 # (search, exact node count it needs, result); a changed tick schedule shows
@@ -621,13 +650,21 @@ C8_MERGED = quotient_by_pair(C8, 0, 2)[0]
 # engine began to order vertices most-connected-first and to forward-check
 # domains: a candidate whose later neighbors lose every image is dropped
 # without a node. The counts fell from 71 / 24,477 / 307, 3,129, 4,564 / 505
-# and 1,017 / 536; the results did not change.
+# and 1,017 / 536; the results did not change. The count-C5C5, count-H33 and
+# count-C7P3-relabelled rows were recorded when the second image began to be
+# pruned by the automorphisms found that fix the root, in place of the root's
+# whole stabilizer rebuilt by Schreier's lemma: the first two counts and the
+# older count rows did not move, and the relabelled C7 x P3 rose from 961, as
+# its fixers split an orbit of the stabilizer (see FIXERS_SPLIT).
 @pytest.mark.parametrize(
     "search, nodes, result",
     [
         (lambda b: count_endomorphisms(C8, node_budget=b), 65, 576),
         (lambda b: count_endomorphisms(C5P3, node_budget=b), 295, 340),
         (lambda b: count_endomorphisms(C8_MERGED, node_budget=b), 243, 398),
+        (lambda b: count_endomorphisms(C5C5, node_budget=b), 242, 400),
+        (lambda b: count_endomorphisms(H33, node_budget=b), 672, 5832),
+        (lambda b: count_endomorphisms(C7P3_RELABELLED, node_budget=b), 1241, 476),
         (lambda b: exists_homomorphism(C8, complete(3), node_budget=b), 8, True),
         (lambda b: exists_homomorphism(C5P3, C8, node_budget=b), 57, False),
         (lambda b: exists_homomorphism(C8_MERGED, C8, node_budget=b), 7, True),
@@ -639,6 +676,7 @@ C8_MERGED = quotient_by_pair(C8, 0, 2)[0]
     ],
     ids=[
         "count-C8", "count-C5P3", "count-quotient",
+        "count-C5C5", "count-H33", "count-C7P3-relabelled",
         "exists-C8-K3", "exists-C5P3-C8", "exists-quotient-C8",
         "iter-C8-K3", "iter-C5P3-K3", "iter-quotient-C8",
         "endo-iter-C8", "endo-iter-quotient",
