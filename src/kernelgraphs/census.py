@@ -22,7 +22,7 @@ from itertools import islice, repeat
 from pathlib import Path
 
 from .errors import UnsupportedParameterError, _Budget
-from .graphs import Graph, _all_graphs_level, canonical_form, from_graph6, generate_all, to_graph6
+from .graphs import Graph, _all_graphs_level, canonical_form, generate_all
 from .groups import PermGroup, group_name
 from .kernelgraph import hull
 from .mingen import _minimum, _needs, minimal_generating_set
@@ -122,9 +122,9 @@ def _group_row(degree: int, generators: frozenset) -> tuple[str, int]:
     return group_name(group), group.order()
 
 
-def _census_entry(g6: str, generators) -> dict:
-    """Worker unit: omega-colourings decide hull-ness; ``generators`` span Aut(g6)."""
-    g = from_graph6(g6)
+def _census_entry(g6: str, adj: tuple[int, ...], generators) -> dict:
+    """Worker unit: the walk decides if g6, rows ``adj``, is a hull; ``generators`` span Aut."""
+    g = Graph.from_adj(adj)
     endo = _minimum(g, True, _Budget(None, "colouring walk"))
     if endo is None:
         return {"graph6": g6, "is_hull": False}
@@ -143,8 +143,8 @@ def _census_entry(g6: str, generators) -> dict:
     }
 
 
-def _census_pair(pair: tuple[str, tuple]) -> dict:
-    return _census_entry(*pair)  # Pool.imap passes one argument
+def _census_task(task: tuple[str, tuple, tuple]) -> dict:
+    return _census_entry(*task)  # Pool.imap passes one argument
 
 
 def _jsonl_path(out_dir: Path, n: int) -> Path:
@@ -185,9 +185,9 @@ def _read_rows(path: Path, n: int) -> tuple[dict[str, dict], int]:
     return rows, end
 
 
-def _compute_rows(batch: list[tuple[str, tuple]], workers: int):
+def _compute_rows(batch: list[tuple[str, tuple, tuple]], workers: int):
     if workers <= 1:
-        yield from map(_census_pair, batch)
+        yield from map(_census_task, batch)
         return
     # leaving the pool terminates its workers at once, so an interrupt such as
     # the CLI's --time-limit neither waits for unfinished chunks nor loses
@@ -195,7 +195,7 @@ def _compute_rows(batch: list[tuple[str, tuple]], workers: int):
     import multiprocessing  # here, so that calls which start no pool never load it
 
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        yield from pool.imap(_census_pair, batch, chunksize=_CHUNK)
+        yield from pool.imap(_census_task, batch, chunksize=_CHUNK)
 
 
 def _table_warnings(n: int, kind: str, computed: dict, reference: dict) -> list[str]:
@@ -243,8 +243,8 @@ def run_census(n: int, out_dir, *, workers: int = 1, resume: bool = True) -> Cen
         header = {"schema_version": SCHEMA_VERSION, "n": n}
         path.write_text(json.dumps(header, sort_keys=True) + "\n")
 
-    pairs = [(to_graph6(g), generators) for g, generators in zip(*_all_graphs_level(n))]
-    todo = [pair for pair in pairs if pair[0] not in done]
+    tasks = [(g6, g.adj, gens) for g, gens, g6 in zip(*_all_graphs_level(n))]
+    todo = [task for task in tasks if task[0] not in done]
     if todo:
         # closing leaves the pool as soon as an interrupt ends the loop
         with path.open("a") as fh, closing(_compute_rows(todo, workers)) as computed:
@@ -253,7 +253,7 @@ def run_census(n: int, out_dir, *, workers: int = 1, resume: bool = True) -> Cen
                 fh.flush()
                 done[row["graph6"]] = row
 
-    rows = [done[g6] for g6, _generators in pairs]
+    rows = [done[g6] for g6, _adj, _generators in tasks]
     return _finalize(n, out, rows)
 
 

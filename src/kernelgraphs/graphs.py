@@ -619,7 +619,7 @@ def _refine(adj, order: list[int], color: list[int], ends: list[int], keys, live
     return live
 
 
-def _ir_search(g: Graph, budget: _Budget):
+def _ir_search(g: Graph, budget: _Budget, last: int | None = None):
     """Individualization-refinement search (McKay & Piperno, 2014).
 
     Returns ``(labelling, generators, rows)``: the labelling old->new of the
@@ -629,14 +629,28 @@ def _ir_search(g: Graph, budget: _Budget):
     child individualizes v, putting v first in its cell, and refines.  Each
     node branches on every vertex of its first smallest non-singleton cell,
     except those in the orbit of an explored sibling under the automorphisms
-    found so far that fix the node's path.  A leaf whose certificate equals
+    known that fix the node's path, from the start the transpositions of twins
+    (equal open or closed neighbourhoods).  A leaf whose certificate equals
     the first or the best leaf's gives an automorphism; the search then
     resumes at the deepest node the two leaves share, whose branch into the
     new leaf is the image of an explored one.  ``budget`` ticks once per node.
+    Cells keep their order, so leaves label n - 1 a vertex of the last root
+    cell; a ``last`` outside it stops the search at the root, returning None.
     """
     n = g.n
+    order, color, ends = list(range(n)), [0] * n, [n] * n
+    degrees = {v: -a.bit_count() for v, a in enumerate(g.adj)}
+    live = _refine(g.adj, order, color, ends, degrees, (1 << n) - 1)
+    if last is not None and ends[color[last]] < n:
+        budget.tick()  # the root, the one node searched
+        return None
     neighbors = [tuple(_bits(a)) for a in g.adj]
-    generators: list[tuple[int, ...]] = []
+    twins = defaultdict(list)  # vertices by open and by closed neighbourhood, which never coincide
+    for v, a in enumerate(g.adj):
+        twins[a].append(v)
+        twins[a | 1 << v].append(v)
+    swaps = [(u, v) for t in twins.values() for u, v in zip(t, t[1:])]
+    generators = [tuple(v if w == u else u if w == v else w for w in range(n)) for u, v in swaps]
     first = best = None  # (certificate, labelling, path) of a leaf
 
     def visit(order, color, ends, keys, live: int, path: list[int]) -> int:
@@ -687,9 +701,8 @@ def _ir_search(g: Graph, budget: _Budget):
             pruned = _orbit(explored, fixing)
         return depth
 
-    degrees = {v: -a.bit_count() for v, a in enumerate(g.adj)}
     try:
-        visit(list(range(n)), [0] * n, [n] * n, degrees, (1 << n) - 1, [])
+        visit(order, color, ends, {}, live, [])
     except RecursionError:
         raise _too_deep("individualization-refinement", n) from None
     return tuple(best[1]), generators, best[0]
@@ -732,21 +745,26 @@ _GENERATE_LIMIT = 9
 
 
 @lru_cache(maxsize=None)
-def _all_graphs_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, ...], ...]]:
-    """The graphs on n vertices up to isomorphism, and generators of their groups.
+def _all_graphs_level(
+    n: int,
+) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, ...], ...], tuple[str, ...]]:
+    """The graphs on n vertices up to isomorphism, generators of their groups, and their graph6.
 
     Canonical augmentation (McKay, *Isomorph-free exhaustive generation*, 1998):
     a parent gains a vertex of maximum degree for one mask per Aut(parent) orbit,
     kept when one search on the child puts it in the orbit of the vertex labelled
-    last (of maximum degree, as the root cells ascend in degree).  The graphs are
-    canonical, in graph6 order; a parallel tuple holds their generators in
-    canonical labels, one bytes each, equal lists shared, so n = 9 fits.
+    last (of maximum degree, as the root cells ascend in degree).  That orbit lies
+    in the last cell of the refined root partition, so a child whose new vertex
+    is outside that cell is rejected there, before any branching.  The graphs are
+    canonical, in graph6 order; parallel tuples hold their generators in
+    canonical labels, one bytes each, equal lists shared, so n = 9 fits, and
+    the graph6 strings they were sorted by.
     """
     if n == 1:
-        return (Graph(1),), ((),)
+        return (Graph(1),), ((),), ("@",)
     children = []
     shared: dict[tuple[bytes, ...], tuple[bytes, ...]] = {}
-    for parent, generators in zip(*_all_graphs_level(n - 1)):
+    for parent, generators in zip(*_all_graphs_level(n - 1)[:2]):
         top = max(a.bit_count() for a in parent.adj)
         tops = sum(1 << v for v, a in enumerate(parent.adj) if a.bit_count() == top)
         seen: set[int] = set()
@@ -761,12 +779,14 @@ def _all_graphs_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, ...
                     seen.add(m)
                     frontier.extend(sum(1 << gen[v] for v in _bits(m)) for gen in generators)
             child = parent.with_vertex(mask)
-            lab, found, rows = _ir_search(child, _Budget(None, "canonical labelling search"))
-            if _orbit([lab.index(n - 1)], found) >> (n - 1) & 1:
+            searched = _ir_search(child, _Budget(None, "canonical labelling search"), n - 1)
+            if searched and _orbit([searched[0].index(n - 1)], searched[1]) >> (n - 1) & 1:
+                lab, found, rows = searched
                 vertex_of = sorted(range(n), key=lab.__getitem__)
-                conjugated = tuple(bytes(lab[gen[v]] for v in vertex_of) for gen in found)
-                children.append((Graph.from_adj(rows), shared.setdefault(conjugated, conjugated)))
-    children.sort(key=lambda child: to_graph6(child[0]))
+                canon = tuple(bytes(lab[gen[v]] for v in vertex_of) for gen in found)
+                graph = Graph.from_adj(rows)
+                children.append((graph, shared.setdefault(canon, canon), to_graph6(graph)))
+    children.sort(key=lambda child: child[2])
     return tuple(zip(*children))
 
 

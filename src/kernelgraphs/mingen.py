@@ -15,13 +15,13 @@ coarser merges two blocks. A hull has chi = omega (Cameron and Kazanidis,
 Cores of symmetric graphs, 2008), and an endomorphism followed by an
 omega-colouring sent onto a maximum clique has a coarser kernel with omega
 classes; so the maximal endomorphism kernels are the omega-colourings, each
-complete with quotient K_omega, and the endomorphic walk opens <= omega blocks.
+complete with quotient K_omega, one maximum clique vertex in each block. The
+endomorphic walk pins such a clique and sends each block to its clique vertex.
 As endomorphisms they merge every non-edge exactly when g is a hull.
 
 Pair sets on n vertices are integers with pair u < v as bit u*n + v, so bits
-run in lexicographic pair order. The partition walk places vertices in order
-and keeps, per block, the OR of 1 << u*n over its vertices u; placing v into
-a block adds that integer shifted left by v, its pairs with v, to the mask.
+run in lexicographic pair order. The partition walk keeps each block as a
+vertex bitmask and builds a leaf's pairs from them, one shift per vertex.
 """
 
 from dataclasses import dataclass
@@ -41,13 +41,12 @@ from .graphs import (
     categorical_power,
     clique_number,
     complement,
-    complete,
     hamming,
+    max_clique,
     square_lattice,
     union_complete,
 )
 from .kernelgraph import _kernel_adjacency, _uncollapsible_nonedges
-from .semigroup import _maps
 from .transform import Partition, Transformation
 
 
@@ -79,42 +78,51 @@ def _check_regenerates(g: Graph, maps) -> None:
 _EXHAUSTIVE_LIMIT = 10
 
 
-def _complete_colourings(g: Graph, most: int, budget: _Budget) -> list:
-    """Partitions into at most ``most`` independent blocks, each two joined.
+def _complete_colourings(g: Graph, budget: _Budget, clique: int = 0) -> list:
+    """Partitions into independent blocks, each two joined.
 
-    Returns ``(block_of, mask)`` pairs in walk order: each vertex's block index, and
-    the merged pairs with pair u < v as bit u*n + v. ``budget`` ticks once per vertex placed.
+    Returns ``(block_of, mask)`` pairs in walk order: each vertex's block, named by
+    the vertex that opened it, and the merged pairs with pair u < v as bit u*n + v.
+    Vertices are placed in index order, into each open block and then into one of
+    their own. Given a maximum clique as a bitset, its vertices open the blocks and
+    the others only join them: the omega-colourings, whose blocks the clique joins.
+    ``budget`` ticks once per vertex placed.
     """
     budget.what = "colouring walk"
     adj = g.adj
     n = g.n
-    # per block: its vertices, the OR of 1 << u*n over them, and the OR of
-    # their neighbourhoods, all as bitmasks
-    state: list[tuple[int, int, int]] = []
-    block_of = [0] * n
+    heads = list(_bits(clique))  # the vertices that opened blocks, in order
+    blocks = [1 << v for v in range(n)]  # the block v opened, as a bitmask
+    reach = list(adj)  # the OR of that block's neighbourhoods
+    block_of = list(range(n))
+    rest = [v for v in range(n) if not clique >> v & 1]
     found: list[tuple[tuple[int, ...], int]] = []
 
-    def place(v: int, mask: int) -> None:
+    def place(k: int) -> None:
         budget.tick()
-        if v == n:
-            if all(r & b for k, (_, _, r) in enumerate(state) for b, _, _ in state[:k]):
+        if k == len(rest):
+            if clique or all(reach[h] & blocks[o] for i, h in enumerate(heads) for o in heads[:i]):
+                mask = 0
+                for u in range(n):  # the pairs u < v of u's block
+                    mask |= (blocks[block_of[u]] & -(2 << u)) << u * n
                 found.append((tuple(block_of), mask))
             return
-        bit = 1 << v
+        v = rest[k]
         a = adj[v]
-        for i, (b, s, r) in enumerate(state):
+        for h in heads:
+            b = blocks[h]
             if not b & a:
-                state[i] = (b | bit, s | 1 << v * n, r | a)
-                block_of[v] = i
-                place(v + 1, mask | s << v)
-                state[i] = (b, s, r)
-        if len(state) < most:
-            block_of[v] = len(state)
-            state.append((bit, 1 << v * n, a))
-            place(v + 1, mask)
-            state.pop()
+                r = reach[h]
+                blocks[h], reach[h], block_of[v] = b | 1 << v, r | a, h
+                place(k + 1)
+                blocks[h], reach[h] = b, r
+        if not clique:
+            block_of[v] = v
+            heads.append(v)
+            place(k + 1)
+            heads.pop()
 
-    place(0, 0)
+    place(0)
     return found
 
 
@@ -195,11 +203,10 @@ def minimal_generating_set(
 
 
 def _minimum(g: Graph, within_endomorphisms: bool, budget: _Budget):
-    """``minimal_generating_set``, or None when its omega-colourings show g is no hull."""
+    """``minimal_generating_set``, or None when the clique-pinned walk shows g is no hull."""
     n = g.n
-    full = sum(  # the non-edges u < v, as bits u*n + v
-        1 << u * n + v for u in range(n) for v in range(u + 1, n) if not g.adj[u] >> v & 1
-    )
+    # the non-edges u < v, as bits u*n + v
+    full = sum((~a & (1 << n) - (2 << u)) << u * n for u, a in enumerate(g.adj))
     if not full:
         return GeneratingSet((), True, 0, "complete")
     if n > _EXHAUSTIVE_LIMIT:
@@ -207,8 +214,8 @@ def _minimum(g: Graph, within_endomorphisms: bool, budget: _Budget):
             f"exhaustive search handles at most {_EXHAUSTIVE_LIMIT} vertices; "
             "use a family constructor for larger graphs"
         )
-    most = clique_number(g) if within_endomorphisms else n
-    cands = _complete_colourings(g, most, budget)
+    clique = max_clique(g)[1] if within_endomorphisms else 0
+    cands = _complete_colourings(g, budget, clique)
     cands.sort(key=lambda c: -c[1].bit_count())
     if within_endomorphisms:
         union = 0
@@ -217,19 +224,11 @@ def _minimum(g: Graph, within_endomorphisms: bool, budget: _Budget):
         if union != full:
             return None
     chosen = _min_cover([mask for _, mask in cands], full, budget, lambda k: _needs(g, k, budget))
-    if within_endomorphisms:
-        # every chosen colouring has quotient K_omega: send its blocks onto one clique
-        budget.what = "clique map"
-        clique = next(_maps(complete(most), g, range(most), budget))
-        maps = tuple(Transformation([clique[b] for b in cands[i][0]]) for i in chosen)
-        method = "exhaustive-endomorphic"
-    else:
-        # each vertex to the least vertex of its block, the one that opened it
-        maps = tuple(
-            Transformation([cands[i][0].index(b) for b in cands[i][0]]) for i in chosen
-        )
-        method = "exhaustive"
+    # each vertex to the vertex that opened its block: the least one, or the
+    # clique's, so that endomorphic members send every edge onto the clique
+    maps = tuple(Transformation(cands[i][0]) for i in chosen)
     _check_regenerates(g, maps)
+    method = "exhaustive-endomorphic" if within_endomorphisms else "exhaustive"
     return GeneratingSet(maps, True, len(chosen), method)
 
 

@@ -11,7 +11,7 @@ import pytest
 import kernelgraphs
 from kernelgraphs import census
 from kernelgraphs.cli import main
-from kernelgraphs.designs import OrthogonalArray, cyclic_square, mols_complete, oa_from_mols
+from kernelgraphs.designs import OrthogonalArray, mols_complete, oa_from_mols
 from kernelgraphs.errors import _Budget
 from kernelgraphs.graphs import (
     _ir_search,
@@ -523,11 +523,14 @@ def test_json_output_matches_goldens(capsys):
         ("--json", "aut", "DUW"): (
             '{"generators": ["[1,5,4,3,2]", "[2,3,4,5,1]"], "name": "D10", "order": 10}'
         ),
+        # the members send each kernel class to its vertex of the maximum
+        # clique {3,4,6}; before the walk pinned that clique they sent the
+        # same four kernels, listed in another order, onto {1,2,5}
         ("--json", "mingen", "E`ow", "--endomorphisms"): (
             '{"kernels": ["{{1,3},{2,6},{4,5}}", "{{1,6},{2,4},{3,5}}",'
-            ' "{{1,6},{2,3},{4,5}}", "{{1,4},{2,6},{3,5}}"], "lower_bound": 4,'
-            ' "members": ["[1,2,1,5,5,2]", "[1,2,5,2,5,1]", "[1,2,2,5,5,1]",'
-            ' "[1,2,5,1,5,2]"], "method": "exhaustive-endomorphic",'
+            ' "{{1,4},{2,6},{3,5}}", "{{1,6},{2,3},{4,5}}"], "lower_bound": 4,'
+            ' "members": ["[3,6,3,4,4,6]", "[6,4,3,4,3,6]", "[4,6,3,4,3,6]",'
+            ' "[6,3,3,4,4,6]"], "method": "exhaustive-endomorphic",'
             ' "minimal": true, "size": 4}'
         ),
     }

@@ -313,26 +313,31 @@ def test_hull_of_triangular_7_is_complete():
 
 
 def test_node_budget_caps_the_automorphism_search():
-    # one budget for the whole call: the first pair search takes 24 nodes and
-    # leaves pairs unsettled, the automorphism search that follows 55, and
-    # the pair searches after it 12, 91 in all
+    # one budget for the whole call: the first pair search takes 13 nodes and
+    # leaves pairs unsettled, the automorphism search that follows 27, and
+    # the pair searches after it 23, 63 in all. The automorphism search took
+    # 55 (91 in all) before it began with the transpositions of the twins
     g = isolated_plus_c5(8)
-    with pytest.raises(BudgetExceededError, match="automorphism search"):
-        hull(g, node_budget=40)
     with pytest.raises(BudgetExceededError, match="homomorphism search"):
-        hull(g, node_budget=90)
-    assert hull(g, node_budget=91) == union_complete([1] * 8 + [5])
+        hull(g, node_budget=12)
+    with pytest.raises(BudgetExceededError, match="automorphism search"):
+        hull(g, node_budget=13)
+    with pytest.raises(BudgetExceededError, match="automorphism search"):
+        hull(g, node_budget=39)
+    with pytest.raises(BudgetExceededError, match="homomorphism search"):
+        hull(g, node_budget=62)
+    assert hull(g, node_budget=63) == union_complete([1] * 8 + [5])
 
 
 def test_is_hull_and_collapsible_need_the_budget_hull_needs():
     # is_hull stops at its first uncollapsible pair, (8, 10); the non-edges
-    # after it share its orbit, so hull searches no further and both need 91.
+    # after it share its orbit, so hull searches no further and both need 63.
     # On the null graph the first pair search settles every pair, so hull
     # needs exactly what collapsible needs for that pair
     g = isolated_plus_c5(8)
     with pytest.raises(BudgetExceededError, match="homomorphism search"):
-        is_hull(g, node_budget=90)
-    assert is_hull(g, node_budget=91) is False
+        is_hull(g, node_budget=62)
+    assert is_hull(g, node_budget=63) is False
     null = Graph(60, [])
     for call, want in (
         (lambda b: hull(null, node_budget=b), null),

@@ -15,7 +15,6 @@ from kernelgraphs.errors import (
 from kernelgraphs.graphs import (
     Graph,
     categorical_power,
-    clique_number,
     complement,
     complete,
     complete_multipartite,
@@ -23,11 +22,12 @@ from kernelgraphs.graphs import (
     from_graph6,
     generate_all,
     hamming,
+    max_clique,
     path,
     square_lattice,
     union_complete,
 )
-from kernelgraphs.kernelgraph import hull, kernel_graph
+from kernelgraphs.kernelgraph import hull, is_hull, kernel_graph
 from kernelgraphs.mingen import (
     GeneratingSet,
     _complete_colourings,
@@ -177,26 +177,42 @@ def restricted_growth_strings(n: int):
 
 
 def test_colouring_walk_matches_restricted_growth_strings():
-    # the walk's leaves: partitions into at most `most` independent blocks,
-    # every two blocks joined by an edge, in the same order as their strings
+    # the free walk's leaves: partitions into independent blocks, every two
+    # blocks joined by an edge, in the same order as their strings, each
+    # block named by its least vertex. With a maximum clique pinned, the walk
+    # lists those with omega blocks, in its own order, each block named by
+    # its clique vertex
     for n in range(1, 7):
         strings = list(restricted_growth_strings(n))
         pairs = list(itertools.combinations(range(n), 2))
         for g in generate_all(n):
-            for most in sorted({clique_number(g), n}):
-                want = []
-                for s in strings:
-                    blocks = [0] * (max(s) + 1)
-                    joined = [0] * (max(s) + 1)  # the OR of each block's neighbourhoods
-                    for v in range(n):
-                        blocks[s[v]] |= 1 << v
-                        joined[s[v]] |= g.adj[v]
-                    if len(blocks) > most or any(j & b for j, b in zip(joined, blocks)):
-                        continue
-                    block_pairs = itertools.combinations(range(len(blocks)), 2)
-                    if all(joined[i] & blocks[j] for i, j in block_pairs):
-                        want.append((s, sum(1 << u * n + v for u, v in pairs if s[u] == s[v])))
-                assert _complete_colourings(g, most, _Budget(None, "test")) == want, (g.adj, most)
+            want = []
+            for s in strings:
+                blocks = [0] * (max(s) + 1)
+                joined = [0] * (max(s) + 1)  # the OR of each block's neighbourhoods
+                for v in range(n):
+                    blocks[s[v]] |= 1 << v
+                    joined[s[v]] |= g.adj[v]
+                if any(j & b for j, b in zip(joined, blocks)):
+                    continue
+                block_pairs = itertools.combinations(range(len(blocks)), 2)
+                if all(joined[i] & blocks[j] for i, j in block_pairs):
+                    least = tuple(s.index(s[v]) for v in range(n))
+                    want.append((least, sum(1 << u * n + v for u, v in pairs if s[u] == s[v])))
+            assert _complete_colourings(g, _Budget(None, "test")) == want, g.adj
+
+            def partition(labels):
+                return frozenset(
+                    frozenset(v for v in range(n) if labels[v] == b) for b in set(labels)
+                )
+
+            omega, clique = max_clique(g)
+            pinned = _complete_colourings(g, _Budget(None, "test"), clique)
+            for labels, _mask in pinned:  # each block named by its clique vertex
+                assert all(clique >> h & 1 and labels[h] == h for h in labels)
+            listed = {partition(labels): mask for labels, mask in pinned}
+            assert len(listed) == len(pinned), g.adj
+            assert listed == {partition(s): mask for s, mask in want if len(set(s)) == omega}
 
 
 def test_needs_never_exceeds_the_free_minimum():
@@ -326,6 +342,19 @@ def brute_endomorphic_minimum(g: Graph) -> int | None:
     return steps
 
 
+def test_endomorphic_members_send_edges_to_edges():
+    # each member sends block i of its colouring to the clique's i-th vertex
+    hulls = 0
+    for n in range(1, 7):
+        for g in generate_all(n):
+            if not is_hull(g):
+                continue
+            hulls += 1
+            for t in minimal_generating_set(g, within_endomorphisms=True).transformations:
+                assert all(g.has_edge(t.images[u], t.images[v]) for u, v in g.edges()), g.adj
+    assert hulls == 1 + 2 + 4 + 10 + 27 + 102
+
+
 def test_endomorphic_minimum_against_brute_force():
     for n in range(1, 6):
         for g in generate_all(n):
@@ -391,20 +420,19 @@ def test_matching_nine_keeps_the_carried_bound():
 
 
 def test_node_budget_caps_cover_search():
-    # one budget for the whole call: the colouring walk, then the cover
-    # search and, for the endomorphic variant, the map onto a clique
+    # one budget for the whole call: the colouring walk, then the cover search
     c7 = cycle(7)
     with pytest.raises(BudgetExceededError, match="cover search"):
         minimal_generating_set(c7, node_budget=491)
     assert minimal_generating_set(c7, node_budget=492).size == 4
     hull7 = from_graph6("F?CWw")
+    # 85 walk nodes with a maximum clique pinned to the first blocks, where
+    # the unpinned walk took 188; the cover bound proves the greedy cover
+    # optimal without a search node, and the members send each block to its
+    # clique vertex without a search (the map onto a clique took 4 more)
     with pytest.raises(BudgetExceededError, match="colouring walk"):
-        minimal_generating_set(hull7, within_endomorphisms=True, node_budget=100)
-    # 188 walk nodes; the cover bound proves the greedy cover optimal without
-    # a search node, and the map onto a clique takes the last 4
-    with pytest.raises(BudgetExceededError, match="clique map"):
-        minimal_generating_set(hull7, within_endomorphisms=True, node_budget=191)
-    endo = minimal_generating_set(hull7, within_endomorphisms=True, node_budget=192)
+        minimal_generating_set(hull7, within_endomorphisms=True, node_budget=84)
+    endo = minimal_generating_set(hull7, within_endomorphisms=True, node_budget=85)
     assert endo.size == minimal_generating_set(hull7, within_endomorphisms=True).size
     # 85 walk nodes, then 5 nodes of the exact colouring behind the cover bound
     g = from_graph6("EIGW")

@@ -542,8 +542,9 @@ PETERSEN = Graph(
         (_union(complete(2), null_graph(6)), 524_288),
         (complete(8), 40320),
         (hamming(4, 2), 26_222_848),
+        (from_graph6("GreZZ["), 2304),
     ],
-    ids=["Petersen", "K33", "Q3", "C5+C5+P3", "K2+6K1", "K8", "Q4"],
+    ids=["Petersen", "K33", "Q3", "C5+C5+P3", "K2+6K1", "K8", "Q4", "GreZZ["],
 )
 def test_endomorphism_counts_pinned(g, count):
     # each count was checked with count_homomorphisms(g, g), which prunes nothing
@@ -553,11 +554,12 @@ def test_endomorphism_counts_pinned(g, count):
 # Graphs where, for some orbit root r, the automorphisms the search found that
 # fix r split an orbit of r's stabilizer on N(r), so the count's second level
 # tries more images than the stabilizer would leave. The last is C7 x P3
-# relabelled by random.Random(0).shuffle.
+# relabelled by random.Random(0).shuffle. GreZZ[ left the list when the search
+# began with the transpositions of twins, which no longer let its fixers
+# split an orbit; its count is pinned with the others above.
 FIXERS_SPLIT = [
     ("GQosz[", 308),
     ("GSXPGs", 4),
-    ("GreZZ[", 2304),
     ("Grosz[", 616),
     ("GrqZX{", 500),
     ("TP?_?kABA?CA?GO?o@aO??GS?AC_?K?QGM?G", 476),
