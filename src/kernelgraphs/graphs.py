@@ -645,11 +645,12 @@ def _ir_search(g: Graph, budget: _Budget, last: int | None = None):
         budget.tick()  # the root, the one node searched
         return None
     neighbors = [tuple(_bits(a)) for a in g.adj]
-    twins = defaultdict(list)  # vertices by open and by closed neighbourhood, which never coincide
+    last, swaps = {}, []  # the last vertex seen with each open or closed neighbourhood
     for v, a in enumerate(g.adj):
-        twins[a].append(v)
-        twins[a | 1 << v].append(v)
-    swaps = [(u, v) for t in twins.values() for u, v in zip(t, t[1:])]
+        for key in (a, a | 1 << v):  # an open neighbourhood never equals a closed one
+            if key in last:
+                swaps.append((last[key], v))
+            last[key] = v
     generators = [tuple(v if w == u else u if w == v else w for w in range(n)) for u, v in swaps]
     first = best = None  # (certificate, labelling, path) of a leaf
 

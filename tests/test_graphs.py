@@ -448,7 +448,7 @@ def test_search_outputs_pinned():
         labelling, gens, rows = _ir_search(g, budget)
         digest.update(repr((labelling, gens, rows, budget.used)).encode("ascii"))
     assert digest.hexdigest() == (
-        "e17e157fb0a3c3df790f085e14e632b507fadd893874c971e0259a18cd54c45b"
+        "512607048820ff465dda421f4a36e24f203dba06fa5434b7003462c4ac918daf"
     )
 
 
