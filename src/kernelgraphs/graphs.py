@@ -645,12 +645,12 @@ def _ir_search(g: Graph, budget: _Budget, last: int | None = None):
         budget.tick()  # the root, the one node searched
         return None
     neighbors = [tuple(_bits(a)) for a in g.adj]
-    last, swaps = {}, []  # the last vertex seen with each open or closed neighbourhood
+    latest, swaps = {}, []  # the last vertex seen with each open or closed neighbourhood
     for v, a in enumerate(g.adj):
         for key in (a, a | 1 << v):  # an open neighbourhood never equals a closed one
-            if key in last:
-                swaps.append((last[key], v))
-            last[key] = v
+            if key in latest:
+                swaps.append((latest[key], v))
+            latest[key] = v
     generators = [tuple(v if w == u else u if w == v else w for w in range(n)) for u, v in swaps]
     first = best = None  # (certificate, labelling, path) of a leaf
 
