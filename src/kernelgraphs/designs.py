@@ -198,12 +198,6 @@ class LatinSquare:
         self.n = n
         self.rows = rows
 
-    def cell(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def transpose(self) -> "LatinSquare":
-        return LatinSquare(zip(*self.rows))
-
     def symbol_partition(self) -> Partition:
         """Partition of the n*n cell grid into the n symbol position classes.
 

@@ -150,9 +150,6 @@ class Graph:
             result.append(tuple(_bits(comp)))
         return result
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -16,7 +16,7 @@ except ImportError:  # an interpreter built without it
     from hashlib import sha1
 
 from .errors import BudgetExceededError, _Budget
-from .graphs import Graph, _ir_search, _orbit, _orbit_roots
+from .graphs import Graph, _ir_search, _orbit_roots
 from .transform import _mul
 
 __all__ = [
@@ -237,33 +237,6 @@ class PermGroup:
             center,
             self.derived_subgroup_order(),
         )
-
-    # ---------------------------------------------------------------- actions
-
-    def is_transitive(self) -> bool:
-        return self.degree <= 1 or _orbit([0], self.generators) == (1 << self.degree) - 1
-
-    def pair_orbits(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Each pair (u, v), u < v, mapped to the least pair of its orbit."""
-        n = self.degree
-        label: dict[tuple[int, int], tuple[int, int]] = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) in label:
-                    continue
-                label[(u, v)] = (u, v)
-                queue = [(u, v)]
-                for a, b in queue:  # grows while it is read: a breadth-first walk
-                    for g in self.generators:
-                        qa, qb = g[a], g[b]
-                        pair = (qa, qb) if qa < qb else (qb, qa)
-                        if pair not in label:
-                            label[pair] = (u, v)
-                            queue.append(pair)
-        return label
-
-    def orbit_count_on_pairs(self) -> int:
-        return len(set(self.pair_orbits().values()))
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} generators={len(self.generators)}>"

@@ -11,7 +11,6 @@ import itertools
 
 from .errors import _Budget
 from .graphs import Graph, _ir_search, _orbit_roots, clique_number, complete
-from .groups import PermGroup
 from .semigroup import (
     _check_generators,
     _merging_endomorphism,
@@ -95,9 +94,32 @@ def closure_kernel_graph(generators) -> KernelGraphResult:
     gens = _check_generators(generators)
     n = gens[0].n
     full = (1 << n) - 1
-    rows = _pair_collapse_table(gens, n)
+    rows = _pair_collapse_table(gens, n, _Budget(None, "pair search"))
     graph = Graph.from_adj([full ^ row ^ (1 << u) for u, row in enumerate(rows)])
     return KernelGraphResult(graph, min_rank_of_generators(gens), None)
+
+
+def _nonedge_orbits(g: Graph, generators) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each non-edge (u, v), u < v, mapped to the least pair of its orbit under ``generators``.
+
+    The generators are automorphisms of g, so a breadth-first walk from a
+    non-edge meets only non-edges; walks start in ascending order.
+    """
+    label: dict[tuple[int, int], tuple[int, int]] = {}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.adj[u] >> v & 1 or (u, v) in label:
+                continue
+            label[(u, v)] = (u, v)
+            queue = [(u, v)]
+            for a, b in queue:  # grows while it is read
+                for s in generators:
+                    qa, qb = s[a], s[b]
+                    pair = (qa, qb) if qa < qb else (qb, qa)
+                    if pair not in label:
+                        label[pair] = (u, v)
+                        queue.append(pair)
+    return label
 
 
 def _uncollapsible_nonedges(g: Graph, budget: _Budget):
@@ -108,11 +130,12 @@ def _uncollapsible_nonedges(g: Graph, budget: _Budget):
     the pair's whole orbit under Aut(G): if f merges u and v and s is an
     automorphism, x -> f(s^-1(x)) merges s(u) and s(v). The automorphism
     search runs only once a second pair search is needed, so a graph that
-    one map settles pays for no group; from then on the first image of
-    every pair search is pruned to the least vertex of each Aut(G)-orbit.
-    The automorphism search and every pair search tick the one ``budget``.
+    one map settles pays for no group; from then on verdicts are kept per
+    ``_nonedge_orbits`` label, and the first image of every pair search is
+    pruned to the least vertex of each Aut(G)-orbit. The automorphism search
+    and every pair search tick the one ``budget``.
     """
-    orbit: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> least pair of its orbit
+    orbit: dict[tuple[int, int], tuple[int, int]] = {}  # non-edge -> least pair of its orbit
     roots = None  # bitset of Aut(G)'s orbit minima, once the automorphism search has run
     verdict: dict[tuple[int, int], bool] = {}  # orbit label -> collapsible
     for u in range(g.n):
@@ -124,7 +147,7 @@ def _uncollapsible_nonedges(g: Graph, budget: _Budget):
                 # a second search is due: from now on verdicts spread over orbits
                 budget.what = "automorphism search"
                 generators = _ir_search(g, budget)[1]
-                orbit = PermGroup(g.n, generators).pair_orbits()
+                orbit = _nonedge_orbits(g, generators)
                 roots = sum(1 << r for r in _orbit_roots(g.n, generators))
                 verdict = {orbit[p]: merged for p, merged in verdict.items()}
                 label = orbit[(u, v)]

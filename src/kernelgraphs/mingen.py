@@ -279,7 +279,7 @@ def matching_generators(copies: int) -> GeneratingSet:
 _REFUTATION_CACHE: dict[tuple[int, int], bool] = {}
 
 
-def _matching_refuted(copies: int, k: int, *, node_budget: _Budget | None = None) -> bool:
+def _matching_refuted(copies: int, k: int, budget: _Budget) -> bool:
     """True when no k independent-block partitions cover a copies-edge matching.
 
     Partitions of the matching correspond exactly to assignments of an ordered
@@ -293,7 +293,7 @@ def _matching_refuted(copies: int, k: int, *, node_budget: _Budget | None = None
     cached = _REFUTATION_CACHE.get((copies, k))
     if cached is not None:
         return cached
-    tick = node_budget.tick if node_budget is not None else lambda: None  # else unbounded
+    tick = budget.tick
 
     def options(top: int) -> list[tuple[int, int]]:
         out = [(a, b) for a in range(top) for b in range(top) if a != b]
@@ -360,7 +360,7 @@ def matching_minimum_size(copies: int, *, node_budget: int | None = None) -> int
         return 0
     r = (copies - 1).bit_length()
     anchor = 2 ** (r - 1) + 1 if r > 1 else 2
-    if not _matching_refuted(anchor, r, node_budget=_Budget(node_budget, "matching refutation")):
+    if not _matching_refuted(anchor, r, _Budget(node_budget, "matching refutation")):
         raise KernelGraphsError(f"refutation failed at {anchor} edges, {r} partitions")
     return r + 1
 

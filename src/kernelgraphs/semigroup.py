@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 from array import array
 
-from .errors import ClosureCapExceededError, _Budget
+from .errors import ClosureCapExceededError, UnsupportedParameterError, _Budget
 from .graphs import Graph, _bits, _ir_search, _orbit_roots
 from .transform import Transformation, _mul
 
@@ -17,7 +17,6 @@ __all__ = [
     "SemigroupClosure",
     "close",
     "is_synchronizing",
-    "collapsible_pairs",
     "synchronizing_word",
     "transformation_of_word",
     "min_rank_of_generators",
@@ -90,10 +89,6 @@ class SemigroupClosure:
     def min_rank(self) -> int:
         return min(len(set(images)) for images in self.images)
 
-    @property
-    def contains_constant(self) -> bool:
-        return self.min_rank == 1
-
     def word_of(self, t: Transformation) -> list[int]:
         """Generator indices whose left-to-right product equals t."""
         if t not in self:
@@ -165,14 +160,14 @@ class _PairGraph:
     expansion stops at the first generator that marks its pair.
     """
 
-    def __init__(self, gens, n: int, budget: _Budget | None):
+    def __init__(self, gens, n: int, budget: _Budget):
         self.images = [g.images for g in gens]
         self.n = n
         self.step: list[int | None] = [None] * (n * n)  # None while unmarked
         self.into: list[list[int] | None] = [None] * (n * n)  # None until seen
         self.queue: list[int] = []
         self.head = 0  # queue[head:] is still to be expanded
-        self.budget = _Budget(None, "pair search") if budget is None else budget
+        self.budget = budget
 
     def explore(self, pairs: list[int], need: int) -> bool:
         """Expand queued pairs until ``need`` of ``pairs`` are marked.
@@ -221,7 +216,7 @@ class _PairGraph:
         return need <= 0
 
 
-def _pair_collapse_table(gens, n: int, budget: _Budget | None = None) -> list[int]:
+def _pair_collapse_table(gens, n: int, budget: _Budget) -> list[int]:
     """``rows[u]``: the bitset of the points v != u that some product merges with u.
 
     Backward propagation over each generator's preimage bitsets ``pre[x]``,
@@ -231,7 +226,7 @@ def _pair_collapse_table(gens, n: int, budget: _Budget | None = None) -> list[in
     pairs merged at once; each mergeable pair is then queued and popped
     once, one tick of ``budget``.
     """
-    tick = (_Budget(None, "pair search") if budget is None else budget).tick
+    tick = budget.tick
     pres = []
     for g in gens:
         pre = [0] * n
@@ -271,7 +266,7 @@ def _shrink(images, image: set[int], word: list[int]) -> set[int]:
     return image
 
 
-def _collapse(gens, n: int, budget: _Budget | None = None) -> tuple[list[int], set[int]]:
+def _collapse(gens, n: int, budget: _Budget) -> tuple[list[int], set[int]]:
     """Collapse the image greedily; return the word and the final image.
 
     Starting from all points, ``_shrink`` the image. Then explore the pair
@@ -309,13 +304,6 @@ def _collapse(gens, n: int, budget: _Budget | None = None) -> tuple[list[int], s
     return word, image
 
 
-def collapsible_pairs(generators) -> set[tuple[int, int]]:
-    """Pairs (u,v), u<v, merged by some product of the generators."""
-    gens = _check_generators(generators)
-    rows = _pair_collapse_table(gens, gens[0].n)
-    return {(u, v) for u, row in enumerate(rows) for v in _bits(row) if v > u}
-
-
 def is_synchronizing(generators) -> bool:
     """True when some product of the generators is a constant map.
 
@@ -330,7 +318,7 @@ def is_synchronizing(generators) -> bool:
         return False
     gens = _check_generators(gens)
     n = gens[0].n
-    graph = _PairGraph(gens, n, None)
+    graph = _PairGraph(gens, n, _Budget(None, "pair search"))
     pts = sorted(_shrink(graph.images, set(range(n)), []))
     pairs = [u * n + v for k, u in enumerate(pts) for v in pts[k + 1 :]]
     return graph.explore(pairs, len(pairs))
@@ -350,7 +338,7 @@ def synchronizing_word(generators) -> list[int] | None:
     if not gens:
         return None
     gens = _check_generators(gens)
-    word, image = _collapse(gens, gens[0].n)
+    word, image = _collapse(gens, gens[0].n, _Budget(None, "pair search"))
     return word if len(image) == 1 else None
 
 
@@ -361,7 +349,7 @@ def min_rank_of_generators(generators) -> int:
     kernel graph of minimal-rank size (omega = chi = minimal rank).
     """
     gens = _check_generators(generators)
-    return len(_collapse(gens, gens[0].n)[1])
+    return len(_collapse(gens, gens[0].n, _Budget(None, "pair search"))[1])
 
 
 # ----------------------------------------------------- homomorphism searching
@@ -568,8 +556,13 @@ def count_endomorphisms(g: Graph, *, node_budget: int | None = None) -> int:
 
 
 def endomorphisms_iter(g: Graph, *, node_budget: int | None = None):
+    """Yield every endomorphism of g as a Transformation.
+
+    On the graph with no vertices this raises UnsupportedParameterError: its
+    one endomorphism, the empty map, is not a Transformation.
+    """
     if g.n == 0:
-        raise ValueError("transformation on an empty point set")
+        raise UnsupportedParameterError("the empty map is not a Transformation")
     for images in homomorphisms_iter(g, g, node_budget=node_budget):
         yield Transformation._of(images)
 

@@ -63,14 +63,6 @@ class Transformation:
         return cls(range(n))
 
     @classmethod
-    def constant(cls, n: int, target: int) -> "Transformation":
-        return cls([target] * n)
-
-    @classmethod
-    def from_one_based(cls, images) -> "Transformation":
-        return cls([int(x) - 1 for x in images])
-
-    @classmethod
     def parse(cls, text: str, *, line: int | None = None) -> "Transformation":
         """Parse the 1-based bracket format ``[3,3,4,3]``."""
         s = text.strip()
@@ -94,9 +86,9 @@ class Transformation:
             x = int(p)
             if not 1 <= x <= n:
                 raise ParseError(f"image value {x} outside 1..{n}", line=line, column=col)
-            images.append(x)
+            images.append(x - 1)
             start += len(part) + 1
-        return cls.from_one_based(images)
+        return cls(images)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(x + 1) for x in self.images) + "]"
@@ -124,12 +116,6 @@ class Transformation:
     @property
     def image_set(self) -> frozenset[int]:
         return frozenset(self.images)
-
-    def is_permutation(self) -> bool:
-        return self.rank == self.n
-
-    def is_constant(self) -> bool:
-        return self.rank == 1
 
     def is_idempotent(self) -> bool:
         img = self.images
@@ -216,10 +202,6 @@ class Partition:
     def n(self) -> int:
         return len(self._block_of)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     @classmethod
     def parse(cls, text: str, *, line: int | None = None) -> "Partition":
         """Parse the 1-based block format ``{{1,2,4},{3}}``."""
@@ -283,10 +265,6 @@ class Partition:
         if self.n != other.n:
             raise ValueError("partitions of different point sets")
         return all(set(b) <= set(other.block_containing(b[0])) for b in self.blocks)
-
-    def is_uniform(self) -> bool:
-        sizes = {len(b) for b in self.blocks}
-        return len(sizes) == 1
 
     def as_transformation(self) -> Transformation:
         """Idempotent collapsing each block to its least element.

@@ -21,7 +21,6 @@ from kernelgraphs.graphs import (
     complete,
     cycle,
     from_graph6,
-    generate_all,
     null_graph,
     path,
     to_graph6,

@@ -149,17 +149,11 @@ def test_cyclic_square():
     assert cyclic_square(3).rows == ((1, 2, 3), (3, 1, 2), (2, 3, 1))
 
 
-def test_transpose():
-    sq = cyclic_square(4)
-    assert sq.transpose().rows == tuple(zip(*sq.rows))
-    assert sq.transpose().transpose() == sq
-
-
 def test_symbol_partition():
     sq = cyclic_square(4)
     part = sq.symbol_partition()
     assert part.n == 16
-    assert part.num_blocks == 4
+    assert len(part.blocks) == 4
     for block in part.blocks:
         assert len(block) == 4
         rows = {c // 4 for c in block}

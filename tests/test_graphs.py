@@ -177,10 +177,9 @@ def test_complement_involution():
 def test_components_and_connectivity():
     g = union_complete([3, 1, 2])
     assert g.components() == [(0, 1, 2), (3,), (4, 5)]
-    assert not g.is_connected()
-    assert cycle(6).is_connected()
-    assert null_graph(0).is_connected()
-    assert null_graph(1).is_connected()
+    assert len(cycle(6).components()) == 1
+    assert null_graph(0).components() == []
+    assert null_graph(1).components() == [(0,)]
 
 
 def test_relabel_and_induced():

@@ -4,9 +4,10 @@ import pytest
 
 from kernelgraphs import kernelgraph
 from kernelgraphs.cli import main
-from kernelgraphs.errors import BudgetExceededError
+from kernelgraphs.errors import BudgetExceededError, _Budget
 from kernelgraphs.graphs import (
     Graph,
+    _ir_search,
     cartesian_product,
     chromatic_number,
     clique_number,
@@ -23,7 +24,9 @@ from kernelgraphs.graphs import (
     triangular,
     union_complete,
 )
+from kernelgraphs.groups import automorphism_group
 from kernelgraphs.kernelgraph import (
+    _nonedge_orbits,
     closure_kernel_graph,
     derived_graph,
     hull,
@@ -285,6 +288,38 @@ def test_harvesting_and_orbits_leave_few_searches(monkeypatch):
     # the first map sends every vertex to 0 and settles all 1,770 pairs
     assert hull(Graph(60, [])) == Graph(60, [])
     assert calls == [(0, 1)]
+
+
+def automorphism_generators(g: Graph):
+    return _ir_search(g, _Budget(None, "automorphism search"))[1]
+
+
+def test_nonedge_orbits_label_each_orbit_by_its_least_pair():
+    graphs = [g for n in range(1, 7) for g in generate_all(n)]
+    graphs += [cartesian_product(cycle(5), cycle(5)), complement(hamming(2, 4))]
+    for g in graphs:
+        generators = automorphism_generators(g)
+        label = _nonedge_orbits(g, generators)
+        nonedges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        assert sorted(label) == nonedges, g
+        for pair, least in label.items():
+            for s in generators:
+                a, b = sorted((s[pair[0]], s[pair[1]]))
+                assert label[a, b] == least, g
+        classes: dict[tuple[int, int], set] = {}
+        for pair, least in label.items():
+            classes.setdefault(least, set()).add(pair)
+        elements = automorphism_group(g).elements()
+        for least, members in classes.items():
+            assert min(members) == least, g
+            assert members == {tuple(sorted((s[least[0]], s[least[1]]))) for s in elements}, g
+
+
+def test_nonedge_orbit_class_counts():
+    for g, count in ((cycle(5), 1), (complement(hamming(2, 4)), 1), (complete(5), 0)):
+        label = _nonedge_orbits(g, automorphism_generators(g))
+        assert len(set(label.values())) == count
+    assert _nonedge_orbits(complete(5), automorphism_generators(complete(5))) == {}
 
 
 def test_each_component_is_searched_on_its_own():

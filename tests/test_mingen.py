@@ -7,7 +7,6 @@ import pytest
 from kernelgraphs import mingen, semigroup
 from kernelgraphs.errors import (
     BudgetExceededError,
-    KernelGraphsError,
     NotAHullError,
     UnsupportedParameterError,
     _Budget,
@@ -401,9 +400,9 @@ def test_matching_refutes_nothing_above_five_edges(monkeypatch):
     refuted = []
     real = mingen._matching_refuted
 
-    def recording(copies, k, *, node_budget=None):
+    def recording(copies, k, budget):
         refuted.append(copies)
-        return real(copies, k, node_budget=node_budget)
+        return real(copies, k, budget)
 
     monkeypatch.setattr(mingen, "_matching_refuted", recording)
     for copies in (9, 16, 17, 32):
@@ -442,13 +441,16 @@ def test_node_budget_caps_cover_search():
 
 
 def test_matching_refutation_engine():
-    assert _matching_refuted(2, 1)
-    assert _matching_refuted(3, 2)
-    assert _matching_refuted(5, 3)
+    def refuted(copies, k):
+        return _matching_refuted(copies, k, _Budget(None, "matching refutation"))
+
+    assert refuted(2, 1)
+    assert refuted(3, 2)
+    assert refuted(5, 3)
     # feasible cases must be found feasible
-    assert not _matching_refuted(2, 2)
-    assert not _matching_refuted(4, 3)
-    assert not _matching_refuted(8, 4)
+    assert not refuted(2, 2)
+    assert not refuted(4, 3)
+    assert not refuted(8, 4)
 
 
 # ------------------------------------------------- union-of-cliques family

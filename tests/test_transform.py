@@ -119,10 +119,6 @@ def test_kernel_matches_preimage_grouping_oracle():
 def test_rank_and_flags():
     t = Transformation.parse("[3,3,4,3]")
     assert t.rank == 2
-    assert not t.is_permutation()
-    assert not t.is_constant()
-    assert Transformation.parse("[4,4,4,4]").is_constant()
-    assert Transformation.parse("[2,3,1]").is_permutation()
     # idempotent: fixes its image pointwise
     assert Transformation.parse("[1,1,3,3]").is_idempotent()
     assert not Transformation.parse("[2,1,1]").is_idempotent()
@@ -216,11 +212,6 @@ def test_partition_as_transformation_round_trip():
     t = p.as_transformation()
     assert t.is_idempotent()
     assert t.kernel() == p
-
-
-def test_uniform():
-    assert Partition.parse("{{1,2},{3,4}}").is_uniform()
-    assert not Partition.parse("{{1,2,4},{3}}").is_uniform()
 
 
 def test_parse_transformation_lines():
