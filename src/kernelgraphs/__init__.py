@@ -1,176 +1,23 @@
-"""Kernel graphs of transformation semigroups, hulls, and generating sets."""
+"""Kernel graphs of transformation semigroups, hulls, and generating sets.
 
-from .census import (
-    CensusSummary,
-    hull_preimages,
-    random_sync_trials,
-    run_census,
-)
-from .designs import (
-    LatinSquare,
-    OrthogonalArray,
-    are_orthogonal,
-    cyclic_square,
-    max_mols_available,
-    mols_complete,
-    oa_extendible,
-    oa_from_mols,
-    oa_graph,
-)
-from .errors import (
-    BudgetExceededError,
-    ClosureCapExceededError,
-    KernelGraphsError,
-    NotAHullError,
-    ParseError,
-    UnsupportedParameterError,
-)
-from .graphs import (
-    Graph,
-    are_isomorphic,
-    canonical_form,
-    canonical_graph,
-    cartesian_product,
-    categorical_power,
-    categorical_product,
-    chromatic_number,
-    clique_number,
-    complement,
-    complete,
-    complete_multipartite,
-    cycle,
-    disjoint_union,
-    from_graph6,
-    generate_all,
-    hamming,
-    independence_number,
-    null_graph,
-    paley,
-    path,
-    square_lattice,
-    to_graph6,
-    triangular,
-    union_complete,
-)
-from .groups import PermGroup, automorphism_group, group_name
-from .kernelgraph import (
-    KernelGraphResult,
-    closure_kernel_graph,
-    derived_graph,
-    hull,
-    is_hull,
-    kernel_graph,
-)
-from .mingen import (
-    GeneratingSet,
-    hamming_complement_generators,
-    hamming_distance_generators,
-    lattice_generators,
-    matching_generators,
-    matching_minimum_size,
-    minimal_generating_set,
-    union_complete_generators,
-)
-from .semigroup import (
-    SemigroupClosure,
-    close,
-    collapsible,
-    count_endomorphisms,
-    count_homomorphisms,
-    endomorphisms_iter,
-    exists_homomorphism,
-    homomorphisms_iter,
-    idempotents,
-    is_synchronizing,
-    left_zero_semigroup,
-    min_rank_of_generators,
-    minimal_ideal,
-    monogenic_index_period,
-    synchronizing_word,
-    transformation_of_word,
-)
-from .transform import Partition, Transformation, parse_transformation_lines
+Every name in a module's ``__all__`` is exported here; the modules declare them.
+"""
+
+from . import census, designs, errors, graphs, groups, kernelgraph, mingen, semigroup, transform
+from .census import *
+from .designs import *
+from .errors import *
+from .graphs import *
+from .groups import *
+from .kernelgraph import *
+from .mingen import *
+from .semigroup import *
+from .transform import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError",
-    "CensusSummary",
-    "ClosureCapExceededError",
-    "GeneratingSet",
-    "Graph",
-    "KernelGraphResult",
-    "KernelGraphsError",
-    "LatinSquare",
-    "NotAHullError",
-    "OrthogonalArray",
-    "ParseError",
-    "Partition",
-    "PermGroup",
-    "SemigroupClosure",
-    "Transformation",
-    "UnsupportedParameterError",
-    "are_isomorphic",
-    "are_orthogonal",
-    "automorphism_group",
-    "canonical_form",
-    "canonical_graph",
-    "cartesian_product",
-    "categorical_power",
-    "categorical_product",
-    "chromatic_number",
-    "clique_number",
-    "close",
-    "closure_kernel_graph",
-    "collapsible",
-    "complement",
-    "complete",
-    "complete_multipartite",
-    "count_endomorphisms",
-    "count_homomorphisms",
-    "cycle",
-    "cyclic_square",
-    "derived_graph",
-    "disjoint_union",
-    "endomorphisms_iter",
-    "exists_homomorphism",
-    "from_graph6",
-    "generate_all",
-    "group_name",
-    "hamming",
-    "hamming_complement_generators",
-    "hamming_distance_generators",
-    "homomorphisms_iter",
-    "hull",
-    "hull_preimages",
-    "idempotents",
-    "independence_number",
-    "is_hull",
-    "is_synchronizing",
-    "kernel_graph",
-    "lattice_generators",
-    "left_zero_semigroup",
-    "matching_generators",
-    "matching_minimum_size",
-    "max_mols_available",
-    "min_rank_of_generators",
-    "minimal_generating_set",
-    "minimal_ideal",
-    "mols_complete",
-    "monogenic_index_period",
-    "null_graph",
-    "oa_extendible",
-    "oa_from_mols",
-    "oa_graph",
-    "paley",
-    "parse_transformation_lines",
-    "path",
-    "random_sync_trials",
-    "run_census",
-    "square_lattice",
-    "synchronizing_word",
-    "to_graph6",
-    "transformation_of_word",
-    "triangular",
-    "union_complete",
+    name
+    for module in (census, designs, errors, graphs, groups, kernelgraph, mingen, semigroup, transform)
+    for name in module.__all__
 ]

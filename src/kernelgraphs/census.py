@@ -29,6 +29,13 @@ from .mingen import _minimum, _needs, minimal_generating_set
 from .semigroup import is_synchronizing
 from .transform import Transformation
 
+__all__ = [
+    "CensusSummary",
+    "run_census",
+    "hull_preimages",
+    "random_sync_trials",
+]
+
 SCHEMA_VERSION = 3
 _CENSUS_LIMIT = 8
 _CHUNK = 8  # graphs per task of a parallel census

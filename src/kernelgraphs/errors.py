@@ -5,6 +5,15 @@ The CLI maps these onto exit codes: input problems -> 1, exhausted budgets -> 2.
 
 from __future__ import annotations
 
+__all__ = [
+    "KernelGraphsError",
+    "ParseError",
+    "BudgetExceededError",
+    "ClosureCapExceededError",
+    "NotAHullError",
+    "UnsupportedParameterError",
+]
+
 
 class KernelGraphsError(Exception):
     """Base class for package errors."""

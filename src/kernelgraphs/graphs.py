@@ -43,7 +43,6 @@ __all__ = [
     "canonical_form",
     "are_isomorphic",
     "generate_all",
-    "automorphisms",
 ]
 
 
@@ -341,7 +340,10 @@ def max_clique(g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> tuple[int, int]
                 expand(size + 1, mask | bit, new_cand)
             cand ^= bit
 
-    expand(0, 0, (1 << n) - 1)
+    try:
+        expand(0, 0, (1 << n) - 1)
+    except RecursionError:
+        raise _too_deep("clique", n) from None
     return best[0], best[1]
 
 

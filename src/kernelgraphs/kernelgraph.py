@@ -30,18 +30,13 @@ __all__ = [
 
 
 class KernelGraphResult:
-    """Kernel graph plus the rank data that came out of the computation.
+    """Kernel graph plus the minimal rank of its members (None when there are none)."""
 
-    ``kernels`` holds the distinct kernels of the minimal-rank members,
-    sorted by blocks, or None when no member list was formed.
-    """
+    __slots__ = ("graph", "min_rank")
 
-    __slots__ = ("graph", "min_rank", "kernels")
-
-    def __init__(self, graph: Graph, min_rank: int | None, kernels):
+    def __init__(self, graph: Graph, min_rank: int | None):
         self.graph = graph
         self.min_rank = min_rank
-        self.kernels = kernels
 
     def __repr__(self) -> str:
         return f"<KernelGraphResult n={self.graph.n} min_rank={self.min_rank}>"
@@ -69,7 +64,7 @@ def kernel_graph(members, n: int | None = None) -> KernelGraphResult:
     if not members:
         if n is None:
             raise ValueError("need n when the member list is empty")
-        return KernelGraphResult(complete(n), None, ())
+        return KernelGraphResult(complete(n), None)
     size = members[0].n
     for t in members:
         if t.n != size:
@@ -77,9 +72,7 @@ def kernel_graph(members, n: int | None = None) -> KernelGraphResult:
     if n is not None and n != size:
         raise ValueError(f"n={n} disagrees with members on {size} points")
     min_rank = min(t.rank for t in members)
-    least = {t.kernel() for t in members if t.rank == min_rank}
-    kernels = tuple(sorted(least, key=lambda p: p.blocks))
-    return KernelGraphResult(Graph.from_adj(_kernel_adjacency(members, size)), min_rank, kernels)
+    return KernelGraphResult(Graph.from_adj(_kernel_adjacency(members, size)), min_rank)
 
 
 def closure_kernel_graph(generators) -> KernelGraphResult:
@@ -96,7 +89,7 @@ def closure_kernel_graph(generators) -> KernelGraphResult:
     full = (1 << n) - 1
     rows = _pair_collapse_table(gens, n, _Budget(None, "pair search"))
     graph = Graph.from_adj([full ^ row ^ (1 << u) for u, row in enumerate(rows)])
-    return KernelGraphResult(graph, min_rank_of_generators(gens), None)
+    return KernelGraphResult(graph, min_rank_of_generators(gens))
 
 
 def _nonedge_orbits(g: Graph, generators) -> dict[tuple[int, int], tuple[int, int]]:

@@ -49,6 +49,17 @@ from .graphs import (
 from .kernelgraph import _kernel_adjacency, _uncollapsible_nonedges
 from .transform import Partition, Transformation
 
+__all__ = [
+    "GeneratingSet",
+    "minimal_generating_set",
+    "matching_generators",
+    "matching_minimum_size",
+    "union_complete_generators",
+    "lattice_generators",
+    "hamming_complement_generators",
+    "hamming_distance_generators",
+]
+
 
 @dataclass(frozen=True)
 class GeneratingSet:

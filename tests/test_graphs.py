@@ -412,6 +412,11 @@ def test_searches_deeper_than_the_recursion_limit_raise_a_package_error():
             call(g)
     with pytest.raises(UnsupportedParameterError, match="on 1500 vertices .* recursion limit"):
         k_color(null_graph(1500), 1)
+    cliques = (lambda: max_clique(complete(1200), limit=None),
+               lambda: independence_number(null_graph(1200), limit=None))
+    for call in cliques:
+        with pytest.raises(UnsupportedParameterError, match="clique search on 1200 .* recursion limit"):
+            call()
 
 
 def test_search_generators_span_the_brute_force_group():

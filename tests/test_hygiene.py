@@ -2,8 +2,9 @@
 
 Every module under ``src/``, ``tests/`` and ``demos/`` is parsed with ``ast``.
 An imported name must be referenced somewhere else in its module, or be
-listed in the module's ``__all__``, or sit on an import marked ``# noqa``.
-Package ``__init__.py`` files re-export by importing and are skipped.
+listed in the module's literal ``__all__``, or sit on an import marked
+``# noqa``. A ``*`` import counts as used. The package exports exactly the
+names its modules list in their ``__all__``.
 """
 
 import ast
@@ -19,7 +20,7 @@ CHECKED = ("src", "tests", "demos")
 
 def _exported(tree: ast.Module) -> set[str]:
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             return set(ast.literal_eval(node.value))
@@ -50,7 +51,7 @@ def unused_imports(path: Path) -> list[str]:
     source = path.read_text()
     tree = ast.parse(source)
     lines = source.splitlines()
-    kept = _exported(tree) | _referenced(tree)
+    kept = _exported(tree) | _referenced(tree) | {"*"}
     unused = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -70,9 +71,8 @@ def test_no_unused_imports():
     unused = []
     for top in CHECKED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            if path.name != "__init__.py":
-                rel = path.relative_to(ROOT)
-                unused.extend(f"{rel}: {name}" for name in unused_imports(path))
+            rel = path.relative_to(ROOT)
+            unused.extend(f"{rel}: {name}" for name in unused_imports(path))
     assert unused == []
 
 
@@ -83,6 +83,7 @@ def test_the_checker_sees_an_unused_import(tmp_path):
         "import sys  # noqa: F401\n"
         "from typing import Any, List\n"
         "from json import dumps\n"
+        "from math import *\n"
         "__all__ = ['dumps']\n"
         "def f(x: 'Any') -> None:\n"
         "    pass\n"
@@ -90,15 +91,35 @@ def test_the_checker_sees_an_unused_import(tmp_path):
     assert unused_imports(module) == ["os", "List"]
 
 
-def test_every_exported_name_resolves():
-    modules = [kernelgraphs] + [
+def _modules():
+    return [
         importlib.import_module(f"kernelgraphs.{info.name}")
         for info in pkgutil.iter_modules(kernelgraphs.__path__)
     ]
+
+
+def test_every_exported_name_resolves():
     missing = [
         f"{module.__name__}.{name}"
-        for module in modules
+        for module in [kernelgraphs] + _modules()
         for name in getattr(module, "__all__", ())
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_the_package_exports_exactly_the_module_lists():
+    declaring = [module for module in _modules() if hasattr(module, "__all__")]
+    assert [module.__name__ for module in _modules() if module not in declaring] == ["kernelgraphs.cli"]
+    names = [name for module in declaring for name in module.__all__]
+    assert kernelgraphs.__all__ == names
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec("from kernelgraphs import *", namespace)
+    unbound = [
+        f"{module.__name__}.{name}"
+        for module in declaring
+        for name in module.__all__
+        if namespace.get(name) is not getattr(module, name)
+    ]
+    assert unbound == []
