@@ -109,8 +109,9 @@ def test_every_exported_name_resolves():
 
 
 def test_the_package_exports_exactly_the_module_lists():
-    declaring = [module for module in _modules() if hasattr(module, "__all__")]
-    assert [module.__name__ for module in _modules() if module not in declaring] == ["kernelgraphs.cli"]
+    modules = _modules()
+    declaring = [module for module in modules if hasattr(module, "__all__")]
+    assert [module.__name__ for module in modules if module not in declaring] == ["kernelgraphs.cli"]
     names = [name for module in declaring for name in module.__all__]
     assert kernelgraphs.__all__ == names
     assert len(set(names)) == len(names)
