@@ -132,7 +132,7 @@ def _group_row(degree: int, generators: frozenset) -> tuple[str, int]:
 def _census_entry(g6: str, adj: tuple[int, ...], generators) -> dict:
     """Worker unit: the walk decides if g6, rows ``adj``, is a hull; ``generators`` span Aut."""
     g = Graph.from_adj(adj)
-    endo = _minimum(g, True, _Budget(None, "colouring walk"))
+    endo = _minimum(g, True, _Budget(None, "clique search"))
     if endo is None:
         return {"graph6": g6, "is_hull": False}
     name, order = _group_row(g.n, frozenset(generators))

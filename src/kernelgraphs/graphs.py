@@ -104,6 +104,8 @@ class Graph:
     def with_vertex(self, neighbor_mask: int) -> "Graph":
         """Append vertex n adjacent to the bitset over the old vertices."""
         n = self.n
+        if not 0 <= neighbor_mask < 1 << n:
+            raise ValueError(f"neighbor mask {neighbor_mask} outside vertices 0..{n - 1}")
         adj = list(self.adj)
         adj.append(neighbor_mask)
         for v in _bits(neighbor_mask):
@@ -113,6 +115,8 @@ class Graph:
     def relabel(self, perm) -> "Graph":
         """perm maps old vertex -> new vertex."""
         n = self.n
+        if len(perm) != n or set(perm) != set(range(n)):
+            raise ValueError(f"relabeling is not a permutation of 0..{n - 1}")
         adj = [0] * n
         for u in range(n):
             pu = perm[u]
@@ -123,6 +127,8 @@ class Graph:
     def induced(self, vertices) -> "Graph":
         vs = list(vertices)
         index = {v: i for i, v in enumerate(vs)}
+        if len(index) < len(vs) or not all(0 <= v < self.n for v in vs):
+            raise ValueError(f"induced vertices repeat or fall outside 0..{self.n - 1}")
         edges = [
             (index[u], index[v])
             for u in vs
@@ -291,9 +297,6 @@ def complement(g: Graph) -> Graph:
 
 # ---------------------------------------------------------- clique / coloring
 
-DEFAULT_EXACT_LIMIT = 64
-
-
 def _color_sort(adj, cand_mask: int) -> tuple[list[int], list[int]]:
     """Greedy colouring of cand_mask, lowest vertex first: the vertices and their colours."""
     order: list[int] = []
@@ -314,18 +317,13 @@ def _color_sort(adj, cand_mask: int) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
-def max_clique(g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> tuple[int, int]:
-    """Exact maximum clique: returns (size, vertex bitset witness).
-
-    Branch and bound with a greedy-coloring bound at each node.
-    """
-    n = g.n
-    if limit is not None and n > limit:
-        raise UnsupportedParameterError(f"exact clique limited to {limit} vertices, got {n}")
+def _max_clique(g: Graph, budget: _Budget) -> tuple[int, int]:
+    """``max_clique`` by branch and bound with greedy-coloring bounds; ``budget`` ticks per node."""
     adj = g.adj
     best = [0, 0]
 
     def expand(size: int, mask: int, cand: int):
+        budget.tick()
         order, bounds = _color_sort(adj, cand)
         for i in range(len(order) - 1, -1, -1):
             if size + bounds[i] <= best[0]:
@@ -334,25 +332,29 @@ def max_clique(g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> tuple[int, int]
             bit = 1 << v
             new_cand = cand & adj[v]
             if size + 1 > best[0]:
-                best[0] = size + 1
-                best[1] = mask | bit
+                best[:] = size + 1, mask | bit
             if new_cand:
                 expand(size + 1, mask | bit, new_cand)
             cand ^= bit
 
     try:
-        expand(0, 0, (1 << n) - 1)
+        expand(0, 0, (1 << g.n) - 1)
     except RecursionError:
-        raise _too_deep("clique", n) from None
+        raise _too_deep("clique", g.n) from None
     return best[0], best[1]
 
 
-def clique_number(g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> int:
-    return max_clique(g, limit=limit)[0]
+def max_clique(g: Graph) -> tuple[int, int]:
+    """Exact maximum clique: returns (size, vertex bitset witness)."""
+    return _max_clique(g, _Budget(None, "clique search"))
 
 
-def independence_number(g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> int:
-    return clique_number(complement(g), limit=limit)
+def clique_number(g: Graph) -> int:
+    return max_clique(g)[0]
+
+
+def independence_number(g: Graph) -> int:
+    return clique_number(complement(g))
 
 
 def k_color(
@@ -442,17 +444,13 @@ def _k_color(g: Graph, k: int, precolor: dict[int, int], budget: _Budget):
         raise _too_deep("coloring", n) from None
 
 
-def chromatic_number(
-    g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT, node_budget: int | None = None
-) -> int:
-    """Exact chromatic number: k-colorings upward from omega, every k on one node budget."""
-    n = g.n
-    if limit is not None and n > limit:
-        raise UnsupportedParameterError(f"exact coloring limited to {limit} vertices, got {n}")
-    size, witness = max_clique(g, limit=limit)
+def chromatic_number(g: Graph, *, node_budget: int | None = None) -> int:
+    """Exact chromatic number: a maximum clique, then k-colorings upward from omega, one budget."""
+    budget = _Budget(node_budget, "clique search")
+    size, witness = _max_clique(g, budget)
     precolor = {v: i for i, v in enumerate(_bits(witness))}
-    budget = _Budget(node_budget, "coloring search")
-    for k in range(size, n + 1):
+    budget.what = "coloring search"
+    for k in range(size, g.n + 1):
         if _k_color(g, k, precolor, budget) is not None:
             return k
     raise AssertionError("unreachable: n colors always suffice")

@@ -38,11 +38,11 @@ from .graphs import (
     _bits,
     _color_sort,
     _k_color,
+    _max_clique,
     categorical_power,
-    clique_number,
     complement,
     hamming,
-    max_clique,
+    independence_number,
     square_lattice,
     union_complete,
 )
@@ -146,7 +146,7 @@ def _needs(g: Graph, k: int, budget: _Budget) -> bool:
             continue
         sub = g.induced(_bits(others))
         what, budget.what = budget.what, "cover bound"
-        if clique_number(sub) >= k or _k_color(sub, k - 1, {}, budget) is None:
+        if _max_clique(sub, budget)[0] >= k or _k_color(sub, k - 1, {}, budget) is None:
             return True
         budget.what = what
     return False
@@ -204,7 +204,7 @@ def minimal_generating_set(
     and NotAHullError reports the obstruction otherwise. ``node_budget`` caps
     the search nodes of the whole call, summed over its stages.
     """
-    budget = _Budget(node_budget, "colouring walk")
+    budget = _Budget(node_budget, "clique search")  # the endomorphic search's first stage
     found = _minimum(g, within_endomorphisms, budget)
     if found is None:
         pairs = _uncollapsible_nonedges(g, budget)
@@ -225,7 +225,7 @@ def _minimum(g: Graph, within_endomorphisms: bool, budget: _Budget):
             f"exhaustive search handles at most {_EXHAUSTIVE_LIMIT} vertices; "
             "use a family constructor for larger graphs"
         )
-    clique = max_clique(g)[1] if within_endomorphisms else 0
+    clique = _max_clique(g, budget)[1] if within_endomorphisms else 0
     cands = _complete_colourings(g, budget, clique)
     cands.sort(key=lambda c: -c[1].bit_count())
     if within_endomorphisms:
@@ -560,6 +560,6 @@ def _coordinate_maps(m: int, n: int, graph, image, method: str) -> GeneratingSet
     maps = tuple(maps)
     _check_regenerates(g, maps)
     nonedge_count = total * (total - 1) // 2 - g.edge_count
-    alpha = clique_number(complement(g), limit=total)
+    alpha = independence_number(g)
     lb = _counting_lower_bound(total, nonedge_count, alpha)
     return GeneratingSet(maps, lb == m, lb, method)

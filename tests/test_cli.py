@@ -96,6 +96,9 @@ def test_derived_and_end_count(capsys):
     code, out, _ = run(capsys, "derived", c4)
     assert code == 0
     assert from_graph6(out.strip()).n == 4
+    rook = square_lattice(9)  # 81 vertices, each edge in a maximum clique
+    code, out, _ = run(capsys, "derived", to_graph6(rook))
+    assert code == 0 and from_graph6(out.strip()) == rook
 
     code, out, _ = run(capsys, "end-count", to_graph6(cycle(5)))
     assert code == 0

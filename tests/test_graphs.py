@@ -191,6 +191,26 @@ def test_relabel_and_induced():
     assert sub == path(3)
 
 
+def test_builders_refuse_arguments_that_make_no_simple_graph():
+    # a repeated image makes a loop, a short one an IndexError; a repeated
+    # induced vertex a phantom vertex, -1 the last vertex; a mask bit past
+    # the old vertices a loop at the new one
+    calls = [
+        lambda: path(3).relabel([0, 0, 1]),
+        lambda: path(3).relabel([0, 1]),
+        lambda: path(3).relabel([0, 1, 3]),
+        lambda: path(3).induced([0, 0, 1]),
+        lambda: path(3).induced([-1, 0]),
+        lambda: path(3).induced([3]),
+        lambda: Graph(2).with_vertex(0b100),
+        lambda: Graph(2).with_vertex(-1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert Graph(2).with_vertex(0b11).adj == (4, 4, 3)
+
+
 # --------------------------------------------------------------------- graph6
 
 
@@ -240,6 +260,7 @@ def test_clique_known_values():
     assert clique_number(cycle(6)) == 2
     assert clique_number(hamming(2, 3)) == 3
     assert clique_number(union_complete([4, 2])) == 4
+    assert clique_number(cycle(65)) == 2  # the clique search has no vertex cap
     size, witness = max_clique(hamming(2, 4))
     members = [v for v in range(16) if witness >> v & 1]
     assert size == 4 == len(members)
@@ -270,6 +291,7 @@ def test_independence_number():
     assert independence_number(cycle(5)) == 2
     assert independence_number(complete_multipartite([3, 3])) == 3
     assert independence_number(complete(4)) == 1
+    assert independence_number(null_graph(70)) == 70
 
 
 def test_k_color_precolor_and_budget():
@@ -298,9 +320,12 @@ def test_k_color_rejects_precolor_vertices_outside_the_graph():
 
 
 def test_chromatic_number_budget_covers_every_k():
-    # one budget for the call, summed over each k tried from the clique number up
-    for g, need in [(cycle(5), 6), (cycle(7), 10), (paley(13), 70)]:
-        with pytest.raises(BudgetExceededError, match="coloring search"):
+    # one budget for the call: the clique search, then each k tried from the
+    # clique number up; K40's 40 clique nodes leave a coloring fully pinned
+    cases = [(cycle(5), 8, "coloring"), (cycle(7), 12, "coloring"), (paley(13), 77, "coloring"),
+             (complete(40), 40, "clique")]
+    for g, need, stage in cases:
+        with pytest.raises(BudgetExceededError, match=f"{stage} search"):
             chromatic_number(g, node_budget=need - 1)
         assert chromatic_number(g, node_budget=need) == chromatic_number(g)
 
@@ -412,11 +437,9 @@ def test_searches_deeper_than_the_recursion_limit_raise_a_package_error():
             call(g)
     with pytest.raises(UnsupportedParameterError, match="on 1500 vertices .* recursion limit"):
         k_color(null_graph(1500), 1)
-    cliques = (lambda: max_clique(complete(1200), limit=None),
-               lambda: independence_number(null_graph(1200), limit=None))
-    for call in cliques:
+    for call, g in ((max_clique, complete(1200)), (independence_number, null_graph(1200))):
         with pytest.raises(UnsupportedParameterError, match="clique search on 1200 .* recursion limit"):
-            call()
+            call(g)
 
 
 def test_search_generators_span_the_brute_force_group():

@@ -427,6 +427,8 @@ def test_derived_graph_fixed_points():
     assert derived_graph(Graph(3, [])) == Graph(3, [])
     star = complete_multipartite([1, 3])
     assert derived_graph(star) == star
+    # 81 vertices and 648 clique searches, with no vertex cap
+    assert derived_graph(square_lattice(9)).edge_count == 648
 
 
 def test_derived_graph_paw():

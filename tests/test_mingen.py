@@ -425,19 +425,21 @@ def test_node_budget_caps_cover_search():
         minimal_generating_set(c7, node_budget=491)
     assert minimal_generating_set(c7, node_budget=492).size == 4
     hull7 = from_graph6("F?CWw")
-    # 85 walk nodes with a maximum clique pinned to the first blocks, where
-    # the unpinned walk took 188; the cover bound proves the greedy cover
-    # optimal without a search node, and the members send each block to its
-    # clique vertex without a search (the map onto a clique took 4 more)
-    with pytest.raises(BudgetExceededError, match="colouring walk"):
-        minimal_generating_set(hull7, within_endomorphisms=True, node_budget=84)
-    endo = minimal_generating_set(hull7, within_endomorphisms=True, node_budget=85)
+    # 4 nodes of the maximum clique search, then 85 walk nodes with that
+    # clique pinned to the first blocks; the cover bound's clique search
+    # (4 nodes) proves the greedy cover optimal, and the members send each
+    # block to its clique vertex without a search
+    for budget, stage in [(3, "clique search"), (88, "colouring walk"), (92, "cover bound")]:
+        with pytest.raises(BudgetExceededError, match=stage):
+            minimal_generating_set(hull7, within_endomorphisms=True, node_budget=budget)
+    endo = minimal_generating_set(hull7, within_endomorphisms=True, node_budget=93)
     assert endo.size == minimal_generating_set(hull7, within_endomorphisms=True).size
-    # 85 walk nodes, then 5 nodes of the exact colouring behind the cover bound
+    # 85 walk nodes, then 7 nodes of the clique search and the exact
+    # colouring behind the cover bound
     g = from_graph6("EIGW")
     with pytest.raises(BudgetExceededError, match="cover bound"):
-        minimal_generating_set(g, node_budget=89)
-    assert minimal_generating_set(g, node_budget=90).size == 3
+        minimal_generating_set(g, node_budget=91)
+    assert minimal_generating_set(g, node_budget=92).size == 3
 
 
 def test_matching_refutation_engine():
