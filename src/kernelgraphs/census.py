@@ -16,9 +16,8 @@ import json
 import os
 import random
 from collections import Counter
-from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice, repeat, starmap
 from pathlib import Path
 
 from .errors import UnsupportedParameterError, _Budget
@@ -38,7 +37,6 @@ __all__ = [
 
 SCHEMA_VERSION = 3
 _CENSUS_LIMIT = 8
-_CHUNK = 8  # graphs per task of a parallel census
 
 # Size conventions used by the published tables: generating sets are drawn
 # from the graph's own endomorphisms, and the complete graph is listed under
@@ -130,7 +128,7 @@ def _group_row(degree: int, generators: frozenset) -> tuple[str, int]:
 
 
 def _census_entry(g6: str, adj: tuple[int, ...], generators) -> dict:
-    """Worker unit: the walk decides if g6, rows ``adj``, is a hull; ``generators`` span Aut."""
+    """One census row: the walk decides if g6, rows ``adj``, is a hull; ``generators`` span Aut."""
     g = Graph.from_adj(adj)
     endo = _minimum(g, True, _Budget(None, "clique search"))
     if endo is None:
@@ -148,10 +146,6 @@ def _census_entry(g6: str, adj: tuple[int, ...], generators) -> dict:
         "min_generators": endo.size or 1,  # see SIZE_CONVENTION
         "min_generators_free": free or 1,
     }
-
-
-def _census_task(task: tuple[str, tuple, tuple]) -> dict:
-    return _census_entry(*task)  # Pool.imap passes one argument
 
 
 def _jsonl_path(out_dir: Path, n: int) -> Path:
@@ -192,19 +186,6 @@ def _read_rows(path: Path, n: int) -> tuple[dict[str, dict], int]:
     return rows, end
 
 
-def _compute_rows(batch: list[tuple[str, tuple, tuple]], workers: int):
-    if workers <= 1:
-        yield from map(_census_task, batch)
-        return
-    # leaving the pool terminates its workers at once, so an interrupt such as
-    # the CLI's --time-limit neither waits for unfinished chunks nor loses
-    # rows already yielded; imap yields rows in batch order
-    import multiprocessing  # here, so that calls which start no pool never load it
-
-    with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        yield from pool.imap(_census_task, batch, chunksize=_CHUNK)
-
-
 def _table_warnings(n: int, kind: str, computed: dict, reference: dict) -> list[str]:
     ref = reference.get(n)
     if ref is None:
@@ -220,22 +201,19 @@ def _table_warnings(n: int, kind: str, computed: dict, reference: dict) -> list[
     return out
 
 
-def run_census(n: int, out_dir, *, workers: int = 1, resume: bool = True) -> CensusSummary:
+def run_census(n: int, out_dir, *, resume: bool = True) -> CensusSummary:
     """Run (or resume) the hull census for n vertices, writing results to out_dir.
 
     Produces hulls_n{n}.jsonl (one record per isomorphism class, header line
     first), summary_n{n}.json, and per-distribution CSV files.  A partial
     JSONL from an interrupted run is picked up and completed when resume is
-    true; resume=False starts over. With workers > 1 the rows are computed by
-    spawned worker processes, so a script calling this needs the usual
-    ``if __name__ == "__main__":`` guard.
+    true; resume=False starts over.  Each row is written and flushed before
+    the next one starts, so an interrupted run keeps every finished row.
     """
     if not 1 <= n <= _CENSUS_LIMIT:
         raise UnsupportedParameterError(
             f"census supports 1..{_CENSUS_LIMIT} vertices, got {n}"
         )
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = _jsonl_path(out, n)
@@ -252,13 +230,11 @@ def run_census(n: int, out_dir, *, workers: int = 1, resume: bool = True) -> Cen
 
     tasks = [(g6, g.adj, gens) for g, gens, g6 in zip(*_all_graphs_level(n))]
     todo = [task for task in tasks if task[0] not in done]
-    if todo:
-        # closing leaves the pool as soon as an interrupt ends the loop
-        with path.open("a") as fh, closing(_compute_rows(todo, workers)) as computed:
-            for row in computed:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-                fh.flush()
-                done[row["graph6"]] = row
+    with path.open("a") as fh:
+        for row in starmap(_census_entry, todo):
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.flush()
+            done[row["graph6"]] = row
 
     rows = [done[g6] for g6, _adj, _generators in tasks]
     return _finalize(n, out, rows)

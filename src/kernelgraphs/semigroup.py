@@ -122,6 +122,8 @@ def close(generators, *, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
             found.append(g)
             back.append(-1)
             via.append(i)
+    if len(found) > cap:
+        raise ClosureCapExceededError(cap, len(found))
     for k, t in enumerate(found):  # grows while it is read
         for i, g in enumerate(images):
             new = _mul(t, g)
@@ -450,8 +452,6 @@ def _maps(g: Graph, h: Graph, order, budget: _Budget, roots: int | None = None, 
         else:
             if not i and seconds is not None:
                 domain[1] &= seconds[x]
-                if not domain[1]:
-                    continue
             tick()
             i += 1
             domains[i] = domain

@@ -186,7 +186,7 @@ def test_census_free_size_matches_the_free_search():
 @pytest.mark.slow
 def test_census_n8_totals(tmp_path):
     # computed by this code, not published values
-    summary = run_census(8, tmp_path, workers=2)
+    summary = run_census(8, tmp_path)
     assert summary.graphs == 12346
     assert summary.hulls == 4783
     assert summary.size_distribution == {1: 22, 2: 275, 3: 2656, 4: 1654, 5: 160, 6: 15, 7: 1}
@@ -280,22 +280,11 @@ def test_census_rejects_malformed_rows(tmp_path):
         run_census(3, tmp_path)
 
 
-def test_census_worker_count_does_not_change_output(tmp_path):
-    one = run_census(4, tmp_path / "w1", workers=1)
-    two = run_census(4, tmp_path / "w2", workers=2)
-    assert one == two
-    assert (tmp_path / "w1" / "hulls_n4.jsonl").read_bytes() == (
-        tmp_path / "w2" / "hulls_n4.jsonl"
-    ).read_bytes()
-
-
 def test_census_rejects_bad_parameters(tmp_path):
     with pytest.raises(UnsupportedParameterError):
         run_census(0, tmp_path)
     with pytest.raises(UnsupportedParameterError):
         run_census(9, tmp_path)
-    with pytest.raises(ValueError):
-        run_census(3, tmp_path, workers=0)
 
 
 def test_hull_preimages():

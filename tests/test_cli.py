@@ -327,12 +327,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["aut", "--node-budget", "-1", "DUW"],
         ["sync-check", "--closure", "--closure-cap", "-1", str(f)],
         ["census"],
+        ["census", "3", "--out", str(tmp_path / "out"), "--threads", "2"],
         ["no-such-command"],
     ]:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1, argv
         assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
     # a zero budget is still valid: K3 is settled without a search
     assert run(capsys, "hull", "--node-budget", "0", "Bw") == (0, "Bw\tis_hull=true\n", "")
 
@@ -375,29 +377,28 @@ def test_time_limit_that_fires_at_once_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "time" in err
 
 
-def test_parallel_census_stops_at_time_limit_and_resumes(tmp_path, capsys, monkeypatch):
+def test_census_stops_at_time_limit_and_resumes(tmp_path, capsys, monkeypatch):
     one, two = tmp_path / "one", tmp_path / "two"
     assert run(capsys, "census", "7", "--out", str(one))[0] == 0
 
-    compute_rows = census._compute_rows
+    entry = census._census_entry
+    calls = 0
 
-    def alarm_after_100_rows(batch, workers):
-        rows = compute_rows(batch, workers)
-        for _ in range(100):
-            yield next(rows)
-        signal.setitimer(signal.ITIMER_REAL, 0.05)  # bring the --time-limit alarm forward
-        yield from rows
+    def alarm_after_100_rows(*task):
+        nonlocal calls
+        calls += 1
+        if calls == 100:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)  # bring the --time-limit alarm forward
+        return entry(*task)
 
     with monkeypatch.context() as m:
-        m.setattr(census, "_compute_rows", alarm_after_100_rows)
-        code, _, err = run(
-            capsys, "--time-limit", "600", "census", "7", "--threads", "2", "--out", str(two)
-        )
+        m.setattr(census, "_census_entry", alarm_after_100_rows)
+        code, _, err = run(capsys, "--time-limit", "600", "census", "7", "--out", str(two))
     assert code == 2
     assert "time" in err
     kept = (two / "hulls_n7.jsonl").read_text().count("\n") - 1
     assert 100 <= kept < 1044  # graphs on 7 vertices
-    assert run(capsys, "census", "7", "--threads", "2", "--out", str(two))[0] == 0
+    assert run(capsys, "census", "7", "--out", str(two))[0] == 0
     for f in sorted(one.iterdir()):
         assert (two / f.name).read_bytes() == f.read_bytes(), f.name
 
@@ -434,8 +435,6 @@ def test_unread_budget_flags_are_rejected(tmp_path, capsys):
         (["sync-check", str(f), "--closure-cap", "9"], "--closure-cap"),
         (["sync-check", str(f), "--node-budget", "9"], "--node-budget"),
         (["hull", g6, "--closure-cap", "9"], "--closure-cap"),
-        (["aut", g6, "--threads", "3"], "--threads"),
-        (["hull", g6, "--threads", "0"], "--threads"),
         (["mingen", g6, "--seed", "1"], "--seed"),
         (["--seed", "1", "designs", "mols", "3"], "--seed"),
     ]:
@@ -462,6 +461,12 @@ def test_read_budget_flags_are_unchanged(tmp_path, capsys):
     code, _, err = run(capsys, "sync-check", "--closure", "--closure-cap", "2", str(f))
     assert code == 2
     assert "closure" in err
+    swap = tmp_path / "swap.txt"
+    swap.write_text("[1,2]\n[2,1]\n")
+    code, out, err = run(capsys, "sync-check", "--closure", "--closure-cap", "1", str(swap))
+    assert code == 2
+    assert out == ""
+    assert "closure" in err
 
 
 def _loaded_by_cli_import(then: str = "") -> set[str]:
@@ -482,7 +487,7 @@ def test_cli_import_loads_no_numpy():
 
 
 def test_cli_import_loads_no_multiprocessing():
-    # only a census with more than one worker starts a process pool
+    # the census computes its rows in the calling process
     assert "multiprocessing" not in _loaded_by_cli_import()
 
 

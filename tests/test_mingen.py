@@ -499,6 +499,7 @@ def test_lattice_sizes():
         (5, 4, True),
         (6, 25, False),
         (7, 6, True),
+        (15, 210, False),
     ]:
         gs = lattice_generators(n)
         assert gs.size == want_size

@@ -267,12 +267,20 @@ def test_closure_membership_needs_a_transformation_on_its_points():
 
 
 def test_closure_cap_reports_the_same_count():
-    # the generators are admitted before the cap is checked, as before
-    for cap, reached in [(0, 4), (1, 4), (2, 4), (10, 11), (1000, 1001)]:
+    for cap, reached in [(0, 3), (1, 3), (2, 3), (10, 11), (1000, 1001)]:
         with pytest.raises(ClosureCapExceededError) as info:
             close(full_transformation_generators(5), cap=cap)
         assert (info.value.limit, info.value.reached) == (cap, reached)
     assert len(close(full_transformation_generators(5), cap=3125)) == 3125
+    # a closure that equals its generators meets the cap too
+    swap = [T("[1,2]"), T("[2,1]")]
+    with pytest.raises(ClosureCapExceededError) as info:
+        close(swap, cap=1)
+    assert (info.value.limit, info.value.reached) == (1, 2)
+    assert len(close(swap, cap=2)) == 2
+    with pytest.raises(ClosureCapExceededError) as info:
+        close([T("[1,1]")], cap=0)
+    assert (info.value.limit, info.value.reached) == (0, 1)
 
 
 def test_close_rejects_bad_input():
