@@ -17,7 +17,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat, starmap
+from itertools import islice, repeat
 from pathlib import Path
 
 from .errors import UnsupportedParameterError, _Budget
@@ -37,6 +37,7 @@ __all__ = [
 
 SCHEMA_VERSION = 3
 _CENSUS_LIMIT = 8
+_HULL_FIELDS = ("edges", "aut_name", "aut_order", "min_generators", "min_generators_free")
 
 # Size conventions used by the published tables: generating sets are drawn
 # from the graph's own endomorphisms, and the complete graph is listed under
@@ -127,9 +128,8 @@ def _group_row(degree: int, generators: frozenset) -> tuple[str, int]:
     return group_name(group), group.order()
 
 
-def _census_entry(g6: str, adj: tuple[int, ...], generators) -> dict:
-    """One census row: the walk decides if g6, rows ``adj``, is a hull; ``generators`` span Aut."""
-    g = Graph.from_adj(adj)
+def _census_entry(g6: str, g: Graph, generators) -> dict:
+    """One census row: the walk decides if g, named g6, is a hull; ``generators`` span Aut."""
     endo = _minimum(g, True, _Budget(None, "clique search"))
     if endo is None:
         return {"graph6": g6, "is_hull": False}
@@ -146,10 +146,6 @@ def _census_entry(g6: str, adj: tuple[int, ...], generators) -> dict:
         "min_generators": endo.size or 1,  # see SIZE_CONVENTION
         "min_generators_free": free or 1,
     }
-
-
-def _jsonl_path(out_dir: Path, n: int) -> Path:
-    return out_dir / f"hulls_n{n}.jsonl"
 
 
 def _read_rows(path: Path, n: int) -> tuple[dict[str, dict], int]:
@@ -180,8 +176,10 @@ def _read_rows(path: Path, n: int) -> tuple[dict[str, dict], int]:
                     f"expected {SCHEMA_VERSION}"
                 )
             continue
-        if "graph6" not in record:
-            raise ValueError(f"{path}:{lineno}: row has no graph6 field")
+        fields = ("graph6", "is_hull", *(_HULL_FIELDS if record.get("is_hull") else ()))
+        missing = [key for key in fields if key not in record]
+        if missing:
+            raise ValueError(f"{path}:{lineno}: row has no {' or '.join(missing)} field")
         rows.setdefault(record["graph6"], record)
     return rows, end
 
@@ -216,7 +214,7 @@ def run_census(n: int, out_dir, *, resume: bool = True) -> CensusSummary:
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = _jsonl_path(out, n)
+    path = out / f"hulls_n{n}.jsonl"
 
     done: dict[str, dict] = {}
     end = 0
@@ -228,16 +226,15 @@ def run_census(n: int, out_dir, *, resume: bool = True) -> CensusSummary:
         header = {"schema_version": SCHEMA_VERSION, "n": n}
         path.write_text(json.dumps(header, sort_keys=True) + "\n")
 
-    tasks = [(g6, g.adj, gens) for g, gens, g6 in zip(*_all_graphs_level(n))]
-    todo = [task for task in tasks if task[0] not in done]
+    graphs, generators, names = _all_graphs_level(n)
     with path.open("a") as fh:
-        for row in starmap(_census_entry, todo):
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-            fh.flush()
-            done[row["graph6"]] = row
+        for g, gens, g6 in zip(graphs, generators, names):
+            if g6 not in done:
+                done[g6] = _census_entry(g6, g, gens)
+                fh.write(json.dumps(done[g6], sort_keys=True) + "\n")
+                fh.flush()
 
-    rows = [done[g6] for g6, _adj, _generators in tasks]
-    return _finalize(n, out, rows)
+    return _finalize(n, out, [done[g6] for g6 in names])
 
 
 def _finalize(n: int, out: Path, rows: list[dict]) -> CensusSummary:
@@ -259,16 +256,9 @@ def _finalize(n: int, out: Path, rows: list[dict]) -> CensusSummary:
     summary_path = out / f"summary_n{n}.json"
     summary_path.write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    with (out / f"groups_n{n}.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "count"])
-        for name, count in sorted(groups.items()):
-            writer.writerow([name, count])
-    with (out / f"sizes_n{n}.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["size", "count"])
-        for size, count in sorted(sizes.items()):
-            writer.writerow([size, count])
+    for key, counts in (("group", groups), ("size", sizes)):
+        with (out / f"{key}s_n{n}.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows([(key, "count"), *sorted(counts.items())])
 
     return summary
 

@@ -206,12 +206,9 @@ def _read_oa(path: str) -> OrthogonalArray:
             continue
         row = []
         for tok in re.finditer(r"\S+", raw):
-            try:
-                row.append(int(tok.group()))
-            except ValueError:
-                raise ParseError(
-                    f"bad symbol {tok.group()!r}", line=lineno, column=tok.start() + 1
-                ) from None
+            if not re.fullmatch("[0-9]+", tok.group()):
+                raise ParseError(f"bad symbol {tok.group()!r}", line=lineno, column=tok.start() + 1)
+            row.append(int(tok.group()))
         rows.append(row)
     if not rows:
         raise ValueError("no array rows in input")

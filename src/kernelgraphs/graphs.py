@@ -317,9 +317,14 @@ def _color_sort(adj, cand_mask: int) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
-def _max_clique(g: Graph, budget: _Budget) -> tuple[int, int]:
-    """``max_clique`` by branch and bound with greedy-coloring bounds; ``budget`` ticks per node."""
+def _max_clique(g: Graph, budget: _Budget, within: int | None = None) -> tuple[int, int]:
+    """``max_clique`` by branch and bound with greedy-coloring bounds; ``budget`` ticks per node.
+
+    Searches the vertex bitset ``within`` (default all) node for node as on its induced
+    copy, which keeps the vertices in order, since every tie breaks by lowest vertex.
+    """
     adj = g.adj
+    within = (1 << g.n) - 1 if within is None else within
     best = [0, 0]
 
     def expand(size: int, mask: int, cand: int):
@@ -338,9 +343,9 @@ def _max_clique(g: Graph, budget: _Budget) -> tuple[int, int]:
             cand ^= bit
 
     try:
-        expand(0, 0, (1 << g.n) - 1)
+        expand(0, 0, within)
     except RecursionError:
-        raise _too_deep("clique", g.n) from None
+        raise _too_deep("clique", within.bit_count()) from None
     return best[0], best[1]
 
 
@@ -377,12 +382,18 @@ def _too_deep(what: str, n: int) -> UnsupportedParameterError:
     return UnsupportedParameterError(f"{what} search on {n} vertices passed the recursion limit")
 
 
-def _k_color(g: Graph, k: int, precolor: dict[int, int], budget: _Budget):
-    """``k_color``, ticking the caller's ``budget`` once per search node."""
+def _k_color(g: Graph, k: int, precolor: dict[int, int], budget: _Budget, within=None):
+    """``k_color`` on the vertex bitset ``within`` (default all, ``precolor`` inside it).
+
+    Ticks ``budget`` once per node of the search on the induced copy, as
+    ``_max_clique`` does; the vertices outside ``within`` keep colour -1.
+    """
     n = g.n
     if k < 0:
         raise ValueError("negative color count")
-    adj = g.adj
+    within = (1 << n) - 1 if within is None else within
+    adj = [a & within for a in g.adj]
+    vertices = list(_bits(within))
     color = [-1] * n
     forbidden = [0] * n  # bitset of colors used by neighbors
     used_colors = 0
@@ -400,7 +411,7 @@ def _k_color(g: Graph, k: int, precolor: dict[int, int], budget: _Budget):
 
     def choose() -> int:
         bestv, key = -1, (-1, -1)
-        for v in range(n):
+        for v in vertices:
             if color[v] < 0:
                 rank = (forbidden[v].bit_count(), degree[v])
                 if rank > key:
@@ -439,9 +450,9 @@ def _k_color(g: Graph, k: int, precolor: dict[int, int], budget: _Budget):
         return False
 
     try:
-        return color if search(n - len(precolor), used_colors) else None
+        return color if search(len(vertices) - len(precolor), used_colors) else None
     except RecursionError:
-        raise _too_deep("coloring", n) from None
+        raise _too_deep("coloring", len(vertices)) from None
 
 
 def chromatic_number(g: Graph, *, node_budget: int | None = None) -> int:

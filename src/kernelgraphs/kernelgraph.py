@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 
 from .errors import _Budget
-from .graphs import Graph, _ir_search, _orbit_roots, clique_number, complete
+from .graphs import Graph, _ir_search, _max_clique, _orbit_roots, complete
 from .semigroup import (
     _check_generators,
     _merging_endomorphism,
     _pair_collapse_table,
+    _preimages,
     min_rank_of_generators,
 )
 from .transform import kernel_of_images
@@ -47,9 +48,7 @@ def _kernel_adjacency(members, size: int) -> list[int]:
     # start complete, then drop every pair that some member maps to one point
     adj = [((1 << size) - 1) ^ (1 << v) for v in range(size)]
     for t in members:
-        preimage = [0] * size
-        for v, x in enumerate(t.images):
-            preimage[x] |= 1 << v
+        preimage = _preimages(t.images, size)
         for v, x in enumerate(t.images):
             adj[v] &= ~preimage[x]
     return adj
@@ -185,13 +184,7 @@ def derived_graph(g: Graph) -> Graph:
     An edge survives exactly when the common neighborhood of its endpoints
     holds a clique two smaller than the maximum.
     """
-    if g.edge_count == 0:
-        return g
-    omega = clique_number(g)
-    kept = []
-    for u, v in g.edges():
-        common = g.adj[u] & g.adj[v]
-        members = [w for w in range(g.n) if common >> w & 1]
-        if clique_number(g.induced(members)) == omega - 2:
-            kept.append((u, v))
-    return Graph(g.n, kept)
+    budget = _Budget(None, "clique search")  # one counter for every search of the call
+    omega = _max_clique(g, budget)[0]
+    common = {(u, v): g.adj[u] & g.adj[v] for u, v in g.edges()}
+    return Graph(g.n, [e for e, m in common.items() if _max_clique(g, budget, m)[0] == omega - 2])

@@ -47,7 +47,7 @@ from .graphs import (
     union_complete,
 )
 from .kernelgraph import _kernel_adjacency, _uncollapsible_nonedges
-from .transform import Partition, Transformation
+from .transform import Transformation
 
 __all__ = [
     "GeneratingSet",
@@ -144,9 +144,8 @@ def _needs(g: Graph, k: int, budget: _Budget) -> bool:
         others = (1 << g.n) - 1 & ~adj[a] & ~(1 << a)
         if others.bit_count() < k or _color_sort(adj, others)[1][-1] < k:
             continue
-        sub = g.induced(_bits(others))
         what, budget.what = budget.what, "cover bound"
-        if _max_clique(sub, budget)[0] >= k or _k_color(sub, k - 1, {}, budget) is None:
+        if _max_clique(g, budget, others)[0] >= k or _k_color(g, k - 1, {}, budget, others) is None:
             return True
         budget.what = what
     return False
@@ -419,33 +418,29 @@ def union_complete_generators(copies: int, clique: int) -> GeneratingSet:
     return GeneratingSet(maps, len(maps) == clique, clique, method)
 
 
+def _by_label(labels) -> Transformation:
+    """The map sending each point to the least point with the same label."""
+    least: dict = {}
+    return Transformation([least.setdefault(label, x) for x, label in enumerate(labels)])
+
+
 def _field_shift_maps(copies: int, clique: int, q: int) -> tuple[Transformation, ...]:
-    # label of vertex (i, s) under shift c is s + c*i; for any two copies and
-    # any symbol pair exactly one c aligns them
+    # label of vertex (i, s) = i*clique + s under shift c is s + c*i; for any
+    # two copies and any symbol pair exactly one c aligns them
     field = FiniteField.of_order(q)
-    maps = []
-    for c in range(q):
-        classes: dict[int, list[int]] = {}
-        for i in range(copies):
-            for s in range(clique):
-                label = field.add(s, field.mul(c, i))
-                classes.setdefault(label, []).append(i * clique + s)
-        maps.append(Partition(classes.values()).as_transformation())
-    return tuple(maps)
+    return tuple(
+        _by_label([field.add(s, field.mul(c, i)) for i in range(copies) for s in range(clique)])
+        for c in range(q)
+    )
 
 
 def _single_bump_maps(copies: int) -> tuple[Transformation, ...]:
     # shift one copy's three symbols by 1 and leave the rest; differences
     # between copies then run through 0, +1 and -1
-    maps = []
-    for c in range(copies):
-        classes: dict[int, list[int]] = {}
-        for i in range(copies):
-            for s in range(3):
-                label = (s + (1 if i == c else 0)) % 3
-                classes.setdefault(label, []).append(3 * i + s)
-        maps.append(Partition(classes.values()).as_transformation())
-    return tuple(maps)
+    return tuple(
+        _by_label([(s + (i == c)) % 3 for i in range(copies) for s in range(3)])
+        for c in range(copies)
+    )
 
 
 # ------------------------------------------------------------- rook's lattice
@@ -465,16 +460,13 @@ def lattice_generators(n: int) -> GeneratingSet:
     if not 2 <= n <= _MAX_LATTICE:
         raise UnsupportedParameterError(f"supported grid sizes are 2..{_MAX_LATTICE}")
     g = square_lattice(n)
-    lb = n - 1
-    if _prime_power(n) is not None:
-        maps = tuple(
-            sq.symbol_partition().as_transformation() for sq in mols_complete(n)
-        )
+    if _prime_power(n) is not None:  # cell i*n + j to the least cell holding its symbol
+        maps = tuple(_by_label([s for row in sq.rows for s in row]) for sq in mols_complete(n))
         _check_regenerates(g, maps)
-        return GeneratingSet(maps, True, lb, "orthogonal-squares")
+        return GeneratingSet(maps, True, n - 1, "orthogonal-squares")
     maps = _paired_row_maps(n)
     _check_regenerates(g, maps)
-    return GeneratingSet(maps, False, lb, "paired-rows")
+    return GeneratingSet(maps, False, n - 1, "paired-rows")
 
 
 def _row_factors(n: int) -> list[list[tuple[int, int]]]:
@@ -553,11 +545,8 @@ def _coordinate_maps(m: int, n: int, graph, image, method: str) -> GeneratingSet
             f"supported up to {_MAX_HAMMING_VERTICES} vertices, got {total}"
         )
     g = graph()
-    maps = []
-    for c in range(m):
-        stride = n ** (m - 1 - c)
-        maps.append(Transformation([image(v, v // stride % n * stride) for v in range(total)]))
-    maps = tuple(maps)
+    strides = [n ** (m - 1 - c) for c in range(m)]
+    maps = tuple(Transformation([image(v, v // s % n * s) for v in range(total)]) for s in strides)
     _check_regenerates(g, maps)
     nonedge_count = total * (total - 1) // 2 - g.edge_count
     alpha = independence_number(g)

@@ -218,6 +218,14 @@ class _PairGraph:
         return need <= 0
 
 
+def _preimages(images, n: int) -> list[int]:
+    """``pre[x]``: the bitset of the points that ``images`` sends to x."""
+    pre = [0] * n
+    for v, x in enumerate(images):
+        pre[x] |= 1 << v
+    return pre
+
+
 def _pair_collapse_table(gens, n: int, budget: _Budget) -> list[int]:
     """``rows[u]``: the bitset of the points v != u that some product merges with u.
 
@@ -229,12 +237,7 @@ def _pair_collapse_table(gens, n: int, budget: _Budget) -> list[int]:
     once, one tick of ``budget``.
     """
     tick = budget.tick
-    pres = []
-    for g in gens:
-        pre = [0] * n
-        for v, x in enumerate(g.images):
-            pre[x] |= 1 << v
-        pres.append(pre)
+    pres = [_preimages(g.images, n) for g in gens]
     rows = [1 << u for u in range(n)]  # diagonal included until the end
     queue = [(x, x) for x in range(n)]
     for a, b in queue:  # grows while it is read

@@ -81,7 +81,7 @@ class Transformation:
             p = part.strip()
             # the entry's first non-blank character, or the delimiter ending it
             col = start + len(part) - len(part.lstrip()) + 1
-            if not p.isdigit():
+            if not (p.isascii() and p.isdigit()):
                 raise ParseError(f"bad image entry {p!r}", line=line, column=col)
             x = int(p)
             if not 1 <= x <= n:
@@ -224,11 +224,12 @@ class Partition:
             block = []
             start = i + 1  # index in body of the entry
             for part in body[start:stop].split(","):
-                if not part.strip().isdigit():
+                entry = part.strip()
+                if not (entry.isascii() and entry.isdigit()):
                     # the entry's first non-blank character, or the delimiter ending it
                     at = col + start + len(part) - len(part.lstrip())
-                    raise ParseError(f"bad block entry {part.strip()!r}", line=line, column=at)
-                block.append(int(part) - 1)
+                    raise ParseError(f"bad block entry {entry!r}", line=line, column=at)
+                block.append(int(entry) - 1)
                 start += len(part) + 1
             blocks.append(block)
             i = stop + 1

@@ -43,14 +43,14 @@ def partition_count(n: int) -> int:
 def entry(g6: str) -> dict:
     """The census row of g6, given generators that an automorphism search finds."""
     g = from_graph6(g6)
-    return _census_entry(g6, g.adj, automorphism_group(g).generators)
+    return _census_entry(g6, g, automorphism_group(g).generators)
 
 
 def level_rows(n: int):
     """Each graph on n vertices with its census row, as the census computes it."""
     for g, generators, g6 in zip(*_all_graphs_level(n)):
         assert g6 == to_graph6(g)
-        yield g, _census_entry(g6, g.adj, generators)
+        yield g, _census_entry(g6, g, generators)
 
 
 def test_entry_classifies_hull_and_non_hull():
@@ -278,6 +278,21 @@ def test_census_rejects_malformed_rows(tmp_path):
     path.write_text('{"n": 3, "schema_version": 3}\n"Bw"\n')
     with pytest.raises(ValueError, match=r"hulls_n3\.jsonl:2: expected a JSON object"):
         run_census(3, tmp_path)
+
+
+def test_census_resume_rejects_incomplete_rows(tmp_path):
+    run_census(3, tmp_path)
+    path = tmp_path / "hulls_n3.jsonl"
+    lines = path.read_text().splitlines()
+    rows = [json.loads(line) for line in lines[1:]]
+    hull_at = next(i for i, row in enumerate(rows, start=2) if row["is_hull"])
+    for key, at in (("is_hull", 3), ("aut_name", hull_at), ("min_generators", hull_at)):
+        cut = {k: v for k, v in json.loads(lines[at - 1]).items() if k != key}
+        path.write_text("\n".join([*lines[: at - 1], json.dumps(cut), *lines[at:]]) + "\n")
+        with pytest.raises(ValueError, match=rf"hulls_n3\.jsonl:{at}: row has no {key} field"):
+            run_census(3, tmp_path)
+    path.write_text("\n".join(lines) + "\n")
+    assert run_census(3, tmp_path).hulls == 4
 
 
 def test_census_rejects_bad_parameters(tmp_path):

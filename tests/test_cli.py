@@ -242,6 +242,15 @@ def test_census_malformed_file_exits_1(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_census_incomplete_row_exits_1(tmp_path, capsys):
+    path = tmp_path / "hulls_n3.jsonl"
+    path.write_text('{"n": 3, "schema_version": 3}\n{"graph6": "Bw", "is_hull": true}\n')
+    code, out, err = run(capsys, "census", "3", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and ":2: row has no edges or aut_name or " in err
+    assert "Traceback" not in err
+
+
 def test_preimages_command(capsys):
     k4 = to_graph6(complete(4))
     code, out, _ = run(capsys, "preimages", k4)
@@ -317,6 +326,18 @@ def test_array_file_errors_report_line_and_column(tmp_path, capsys):
         code, _, err = run(capsys, "designs", command, str(f))
         assert code == 1
         assert err == "error: bad symbol 'x' at line 4, column 5\n"
+
+
+def test_files_accept_only_ascii_digits(tmp_path, capsys):
+    f = tmp_path / "maps.txt"
+    f.write_text("[1,2]\n[²,1]\n")
+    code, _, err = run(capsys, "kernel-graph", str(f))
+    assert (code, err) == (1, "error: bad image entry '²' at line 2, column 2\n")
+    oa = tmp_path / "oa.txt"
+    for symbol in ("١", "1_0", "+1"):
+        oa.write_text(f"1 1 1 1\n1 2 {symbol} 2\n")
+        code, _, err = run(capsys, "designs", "oa-graph", str(oa))
+        assert (code, err) == (1, f"error: bad symbol {symbol!r} at line 2, column 5\n")
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

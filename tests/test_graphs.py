@@ -9,7 +9,10 @@ from kernelgraphs.errors import BudgetExceededError, ParseError, UnsupportedPara
 from kernelgraphs.graphs import (
     Graph,
     _all_graphs_level,
+    _bits,
     _ir_search,
+    _k_color,
+    _max_clique,
     _orbit,
     are_isomorphic,
     automorphisms,
@@ -317,6 +320,34 @@ def test_k_color_rejects_precolor_vertices_outside_the_graph():
     for vertex in (-1, 5, 7):
         with pytest.raises(ValueError, match="outside vertices"):
             k_color(cycle(5), 3, precolor={vertex: 0})
+
+
+def test_searches_on_a_vertex_set_walk_the_tree_of_its_induced_copy():
+    # each vertex's non-neighbourhood and each edge's common neighbourhood, as
+    # the cover bound and derived_graph search them: same answer, same nodes
+    for n in range(1, 8):
+        for g in generate_all(n):
+            full = (1 << n) - 1
+            sets = [full & ~a & ~(1 << v) for v, a in enumerate(g.adj)]
+            sets += [g.adj[u] & g.adj[v] for u, v in g.edges()]
+            for within in sets:
+                vertices = list(_bits(within))
+                sub = g.induced(vertices)
+                here, there = _Budget(None, "test"), _Budget(None, "test")
+                size, witness = _max_clique(g, here, within)
+                omega, sub_witness = _max_clique(sub, there)
+                assert (size, here.used) == (omega, there.used)
+                assert witness == sum(1 << vertices[i] for i in _bits(sub_witness))
+                for k in range(max(omega - 1, 0), omega + 1):
+                    here, there = _Budget(None, "test"), _Budget(None, "test")
+                    colors = _k_color(g, k, {}, here, within)
+                    sub_colors = _k_color(sub, k, {}, there)
+                    assert here.used == there.used
+                    if sub_colors is None:
+                        assert colors is None
+                    else:
+                        assert [colors[v] for v in vertices] == sub_colors
+                        assert colors.count(-1) == n - len(vertices)
 
 
 def test_chromatic_number_budget_covers_every_k():

@@ -3,8 +3,10 @@
 Every module under ``src/``, ``tests/`` and ``demos/`` is parsed with ``ast``.
 An imported name must be referenced somewhere else in its module, or be
 listed in the module's literal ``__all__``, or sit on an import marked
-``# noqa``. A ``*`` import counts as used. The package exports exactly the
-names its modules list in their ``__all__``.
+``# noqa``. A ``*`` import counts as used. A module-level ``_name`` function
+or class under ``src/`` must be referenced by some module there outside its
+own definition. The package exports exactly the names its modules list in
+their ``__all__``.
 """
 
 import ast
@@ -89,6 +91,55 @@ def test_the_checker_sees_an_unused_import(tmp_path):
         "    pass\n"
     )
     assert unused_imports(module) == ["os", "List"]
+
+
+def dead_helpers(paths) -> list[str]:
+    """Each module-level ``_name`` function or class that no module in ``paths`` references.
+
+    A reference inside the helper's own definition, such as a recursive call,
+    does not count; a read of it as an attribute (``module._name``) does.
+    """
+    tops = [(path, node) for path in paths for node in ast.parse(path.read_text()).body]
+    reads = [
+        _referenced(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        for _, node in tops
+    ]
+    dead = []
+    for i, (path, node) in enumerate(tops):
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+            and not any(node.name in names for j, names in enumerate(reads) if j != i)
+        ):
+            dead.append(f"{path.name}: {node.name}")
+    return dead
+
+
+def test_no_dead_private_helpers():
+    assert dead_helpers(sorted((ROOT / "src").rglob("*.py"))) == []
+
+
+def test_the_checker_sees_a_dead_helper(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text(
+        "def _used():\n"
+        "    pass\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else 0\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def _imported():\n"
+        "    pass\n"
+        "def _annotated():\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+        "def public(x: '_annotated') -> None:\n"
+        "    return _used()\n"
+    )
+    b.write_text("from a import _imported\n_imported()\n")
+    assert dead_helpers([a, b]) == ["a.py: _recursive", "a.py: _Gone"]
 
 
 def _modules():

@@ -438,8 +438,8 @@ def test_derived_graph_paw():
 
 def test_derived_graph_keeps_only_maximum_clique_edges():
     rng = random.Random(163)
-    for _ in range(60):
-        g = random_graph(rng, rng.randrange(1, 7))
+    graphs = [random_graph(rng, rng.randrange(1, 7)) for _ in range(60)]
+    for g in graphs + [g for n in range(1, 8) for g in generate_all(n)]:
         d = derived_graph(g)
         if g.edge_count == 0:
             assert d == g

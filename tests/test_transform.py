@@ -260,3 +260,23 @@ def test_products_are_checked_at_the_boundary_only():
         for _ in range(k - 1):
             power = Transformation(oracle_compose(power, f))
         assert f.power(k) == power
+
+
+def test_transformation_parse_accepts_only_ascii_digits():
+    # str.isdigit() and int() accept superscripts, other scripts' digits and
+    # underscores; the format takes [0-9]+ only
+    cases = {"[²]": 2, "[١,١]": 2, "[1, ٢]": 5, "[1_0]": 2, "[+1]": 2, "[１]": 2}
+    for text, column in cases.items():
+        with pytest.raises(ParseError) as info:
+            Transformation.parse(text, line=4)
+        assert (info.value.line, info.value.column) == (4, column), text
+    assert Transformation.parse("[2,1]").images == (1, 0)
+
+
+def test_partition_parse_accepts_only_ascii_digits():
+    cases = {"{{²}}": 3, "{{١},{٢}}": 3, "{{1},{2,٣}}": 9, "{{1_0}}": 3, "{{+1}}": 3}
+    for text, column in cases.items():
+        with pytest.raises(ParseError) as info:
+            Partition.parse(text, line=2)
+        assert (info.value.line, info.value.column) == (2, column), text
+    assert Partition.parse("{{1},{2}}").blocks == ((0,), (1,))
